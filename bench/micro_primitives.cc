@@ -86,7 +86,7 @@ void BM_Crc32(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(1 << 16);
+BENCHMARK(BM_Crc32)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_Sha1(benchmark::State& state) {
   std::string data(static_cast<size_t>(state.range(0)), 'x');

@@ -24,7 +24,7 @@ Result<std::unique_ptr<ScanCursor>> MakeDiffScanCursor(
         if (!prepared.Matches(rec.data().data())) return;
         cursor->AddRow(rec.data(), spec.projection);
       },
-      /*neg=*/nullptr));
+      /*neg=*/nullptr, stats));
   return std::unique_ptr<ScanCursor>(std::move(cursor));
 }
 

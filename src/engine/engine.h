@@ -31,6 +31,7 @@
 #include "common/result.h"
 #include "engine/merge_spec.h"
 #include "engine/scan_spec.h"
+#include "storage/buffer_pool.h"
 #include "storage/record.h"
 #include "storage/schema.h"
 #include "txn/write_batch.h"
@@ -121,6 +122,9 @@ struct EngineStats {
   uint64_t bytes_read = 0;
   uint64_t segments_skipped = 0;
   uint64_t pages_skipped = 0;
+  /// The engine's buffer pool: hits, misses, and the bytes and time the
+  /// misses spent loading pages.
+  BufferPoolStats pool;
 };
 
 class StorageEngine {
@@ -178,9 +182,11 @@ class StorageEngine {
   /// Streams the positive diff (in \p a, not in \p b) to \p pos and the
   /// negative diff to \p neg. Either callback may be null. (NewScan's
   /// kDiff view serves the positive side with pushdown; merges and the
-  /// facade's Diff need both sides.)
+  /// facade's Diff need both sides.) \p stats (optional) receives the
+  /// bytes_read of the pages the diff fetched.
   virtual Status Diff(BranchId a, BranchId b, DiffMode mode,
-                      const DiffCallback& pos, const DiffCallback& neg) = 0;
+                      const DiffCallback& pos, const DiffCallback& neg,
+                      ScanStats* stats) = 0;
 
   /// The merge/diff substrate (§2.2.3): streams every primary key whose
   /// record state differs between commits \p left and \p right, with the

@@ -848,7 +848,8 @@ Result<Record> HybridEngine::Get(BranchId branch, int64_t pk) {
 }
 
 Status HybridEngine::Diff(BranchId a, BranchId b, DiffMode mode,
-                          const DiffCallback& pos, const DiffCallback& neg) {
+                          const DiffCallback& pos, const DiffCallback& neg,
+                          ScanStats* stats) {
   // Materialize both sides' per-segment deltas under the two branches'
   // stripes (ascending order via MultiGuard), then scan the snapshot
   // with the stripes released.
@@ -884,6 +885,7 @@ Status HybridEngine::Diff(BranchId a, BranchId b, DiffMode mode,
   if (mode == DiffMode::kByKey) {
     for (const SegDiff& d : seg_diffs) {
       BitmapScanner scanner(d.file, &schema_, &d.both);
+      scanner.EnablePruning(/*predicate=*/nullptr, stats);
       RecordRef rec;
       uint64_t idx;
       while (scanner.Next(&rec, &idx)) {
@@ -896,6 +898,7 @@ Status HybridEngine::Diff(BranchId a, BranchId b, DiffMode mode,
 
   for (const SegDiff& d : seg_diffs) {
     BitmapScanner scanner(d.file, &schema_, &d.both);
+    scanner.EnablePruning(/*predicate=*/nullptr, stats);
     RecordRef rec;
     uint64_t idx;
     while (scanner.Next(&rec, &idx)) {
@@ -1069,6 +1072,7 @@ EngineStats HybridEngine::Stats() const {
   stats.bytes_read = scan_counters_.bytes_read();
   stats.segments_skipped = scan_counters_.segments_skipped();
   stats.pages_skipped = scan_counters_.pages_skipped();
+  stats.pool = pool_.stats();
   return stats;
 }
 

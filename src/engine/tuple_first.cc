@@ -489,8 +489,8 @@ Result<Record> TupleFirstEngine::Get(BranchId branch, int64_t pk) {
 }
 
 Status TupleFirstEngine::Diff(BranchId a, BranchId b, DiffMode mode,
-                              const DiffCallback& pos,
-                              const DiffCallback& neg) {
+                              const DiffCallback& pos, const DiffCallback& neg,
+                              ScanStats* stats) {
   // "Diff is straightforward to compute in tuple-first: we simply XOR
   // bitmaps together and emit records on the appropriate iterator" (§3.2).
   // Both stripes are taken together (ascending order) so the two columns
@@ -512,6 +512,7 @@ Status TupleFirstEngine::Diff(BranchId a, BranchId b, DiffMode mode,
     // "present" there, so collect each side's touched keys first.
     const Bitmap both = Bitmap::Or(only_a, only_b);
     StripedBitmapScanner pass1(mapping, &schema_, &both);
+    pass1.EnablePruning(/*predicate=*/nullptr, stats);
     RecordRef rec;
     uint64_t idx;
     while (pass1.Next(&rec, &idx)) {
@@ -523,6 +524,7 @@ Status TupleFirstEngine::Diff(BranchId a, BranchId b, DiffMode mode,
 
   const Bitmap both = Bitmap::Or(only_a, only_b);
   StripedBitmapScanner scanner(mapping, &schema_, &both);
+  scanner.EnablePruning(/*predicate=*/nullptr, stats);
   RecordRef rec;
   uint64_t idx;
   while (scanner.Next(&rec, &idx)) {
@@ -649,6 +651,7 @@ EngineStats TupleFirstEngine::Stats() const {
   stats.bytes_read = scan_counters_.bytes_read();
   stats.segments_skipped = scan_counters_.segments_skipped();
   stats.pages_skipped = scan_counters_.pages_skipped();
+  stats.pool = pool_.stats();
   return stats;
 }
 

@@ -936,7 +936,7 @@ Result<Record> VersionFirstEngine::Get(BranchId branch, int64_t pk) {
 
 Status VersionFirstEngine::BuildWinnerTables(
     const std::vector<Root>& roots, std::vector<WinnerTable>* tables,
-    uint64_t* bytes_scanned) const {
+    ScanStats* stats) const {
   tables->assign(roots.size(), WinnerTable());
 
   // Per root: scan order and each segment's rank + bound within it.
@@ -962,10 +962,10 @@ Status VersionFirstEngine::BuildWinnerTables(
   // one winner table per branch keyed by scan rank).
   for (const auto& [seg, bound] : union_bound) {
     ReverseSegmentReader reader(segments_[seg]->file.get(), &schema_, bound);
+    reader.EnablePruning(/*modes=*/nullptr, /*predicate=*/nullptr, stats);
     RecordRef rec;
     uint64_t idx;
     while (reader.Prev(&rec, &idx)) {
-      if (bytes_scanned != nullptr) *bytes_scanned += schema_.record_size();
       const int64_t pk = rec.pk();
       for (size_t r = 0; r < roots.size(); ++r) {
         auto rank_it = per_root[r].rank.find(seg);
@@ -994,7 +994,7 @@ Status VersionFirstEngine::FetchRecord(uint32_t seg, uint64_t idx,
 
 Status VersionFirstEngine::Diff(BranchId a, BranchId b, DiffMode mode,
                                 const DiffCallback& pos,
-                                const DiffCallback& neg) {
+                                const DiffCallback& neg, ScanStats* stats) {
   // Version-first diffs pay for full winner-table construction over both
   // ancestries ("the need to make multiple passes over the dataset to
   // identify the active records in both versions", §5.2).
@@ -1006,7 +1006,7 @@ Status VersionFirstEngine::Diff(BranchId a, BranchId b, DiffMode mode,
     DECIBEL_ASSIGN_OR_RETURN(root_b, RootForBranch(b));
   }
   std::vector<WinnerTable> tables;
-  DECIBEL_RETURN_NOT_OK(BuildWinnerTables({root_a, root_b}, &tables, nullptr));
+  DECIBEL_RETURN_NOT_OK(BuildWinnerTables({root_a, root_b}, &tables, stats));
   const WinnerTable& wa = tables[0];
   const WinnerTable& wb = tables[1];
 
@@ -1241,6 +1241,7 @@ EngineStats VersionFirstEngine::Stats() const {
   stats.bytes_read = scan_counters_.bytes_read();
   stats.segments_skipped = scan_counters_.segments_skipped();
   stats.pages_skipped = scan_counters_.pages_skipped();
+  stats.pool = pool_.stats();
   return stats;
 }
 

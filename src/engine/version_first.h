@@ -66,7 +66,7 @@ class VersionFirstEngine : public StorageEngine {
   Result<std::unique_ptr<ScanCursor>> NewScan(const ScanSpec& spec) override;
   Result<Record> Get(BranchId branch, int64_t pk) override;
   Status Diff(BranchId a, BranchId b, DiffMode mode, const DiffCallback& pos,
-              const DiffCallback& neg) override;
+              const DiffCallback& neg, ScanStats* stats) override;
   Status MergeWalk(CommitId left, CommitId right, CommitId base,
                    const MergeWalkCallback& cb, MergeWalkStats* stats) override;
   Status ReleaseBranch(BranchId branch) override;
@@ -150,10 +150,10 @@ class VersionFirstEngine : public StorageEngine {
 
   /// Pass 1 of the paper's two-pass machinery: one reverse pass over the
   /// union of the roots' ancestries, producing a winner table per root.
-  /// \p bytes_scanned (optional) accumulates records * record_size.
+  /// \p stats (optional) receives the bytes_read of the pages it pins.
   Status BuildWinnerTables(const std::vector<Root>& roots,
                            std::vector<WinnerTable>* tables,
-                           uint64_t* bytes_scanned) const;
+                           ScanStats* stats) const;
 
   /// Reads record \p idx of segment \p seg into \p buf.
   Status FetchRecord(uint32_t seg, uint64_t idx, std::string* buf) const;

@@ -1,5 +1,7 @@
 #include "query/queries.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <unordered_map>
 
 namespace decibel {
@@ -59,19 +61,35 @@ Result<QueryStats> JoinVersions(Decibel* db, BranchId a, BranchId b,
   // Build side: branch a with the predicate pushed into the engine —
   // non-matching rows never cross the cursor boundary.
   std::unordered_map<int64_t, std::string> build;
+  int64_t min_pk = INT64_MAX;
+  int64_t max_pk = INT64_MIN;
   DECIBEL_ASSIGN_OR_RETURN(auto build_cursor,
                            db->NewScan(ScanSpec::Branch(a).Where(predicate)));
   ScanRow row;
   while (build_cursor->Next(&row)) {
-    build.emplace(row.record.pk(), row.record.data().ToString());
+    const int64_t pk = row.record.pk();
+    min_pk = std::min(min_pk, pk);
+    max_pk = std::max(max_pk, pk);
+    build.emplace(pk, row.record.data().ToString());
   }
   DECIBEL_RETURN_NOT_OK(build_cursor->status());
   stats.rows_scanned += build_cursor->stats().rows_scanned;
   stats.bytes_scanned += build_cursor->stats().bytes_scanned;
+  if (build.empty()) return stats;  // nothing can join
 
-  // Probe side: branch b, pipelined.
-  DECIBEL_ASSIGN_OR_RETURN(auto probe_cursor,
-                           db->NewScan(ScanSpec::Branch(b)));
+  // Probe side: branch b, pipelined, restricted to the build side's key
+  // range so zone maps can skip the pages no build key can match.
+  Predicate key_range;
+  Comparison lo;
+  lo.column = 0;  // the primary key
+  lo.op = CompareOp::kGe;
+  lo.int_value = min_pk;
+  Comparison hi = lo;
+  hi.op = CompareOp::kLe;
+  hi.int_value = max_pk;
+  key_range.And(lo).And(hi);
+  DECIBEL_ASSIGN_OR_RETURN(
+      auto probe_cursor, db->NewScan(ScanSpec::Branch(b).Where(key_range)));
   while (probe_cursor->Next(&row)) {
     auto hit = build.find(row.record.pk());
     if (hit != build.end()) {

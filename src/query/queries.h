@@ -52,7 +52,8 @@ Result<QueryStats> PositiveDiff(Decibel* db, BranchId a, BranchId b,
 
 /// Q3: primary-key join of two branches; emits pairs where the \p a side
 /// satisfies \p predicate. Implemented as a pipelined hash join: build on
-/// the filtered \p a side, probe with \p b.
+/// the filtered \p a side, probe with \p b restricted to the build keys'
+/// pk range (no probe at all when the build side is empty).
 Result<QueryStats> JoinVersions(Decibel* db, BranchId a, BranchId b,
                                 const Predicate& predicate,
                                 const JoinCallback& callback);

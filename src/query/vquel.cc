@@ -625,6 +625,10 @@ Result<ExecResult> Interpreter::Execute(const std::string& statement) {
         << "\n"
         << "engine.rows_scanned: " << s.engine.rows_scanned << "\n"
         << "engine.bytes_scanned: " << s.engine.bytes_scanned << "\n"
+        << "engine.pool_hits: " << s.engine.pool.hits << "\n"
+        << "engine.pool_misses: " << s.engine.pool.misses << "\n"
+        << "engine.pool_miss_bytes: " << s.engine.pool.miss_bytes << "\n"
+        << "engine.pool_miss_load_ns: " << s.engine.pool.miss_load_ns << "\n"
         << "durable: " << (s.durable ? "true" : "false") << "\n"
         << "wal.bytes_appended: " << s.wal_bytes_appended << "\n"
         << "wal.segment_seq: " << s.wal_segment_seq << "\n"
@@ -632,7 +636,7 @@ Result<ExecResult> Interpreter::Execute(const std::string& statement) {
         << "checkpoint.generation: " << s.checkpoint_generation << "\n"
         << "subscriptions: " << s.subscriptions << "\n"
         << "events_published: " << s.events_published;
-    result.rows = 17;
+    result.rows = 21;
   } else if (verb == "SUBSCRIBE" || verb == "UNSUBSCRIBE") {
     // Subscriptions need a connection to push notifications down; the
     // net server intercepts these verbs per session before the

@@ -1,5 +1,7 @@
 #include "storage/buffer_pool.h"
 
+#include <chrono>
+
 namespace decibel {
 
 Result<PageRef> BufferPool::GetPage(uint64_t file_id, uint64_t page_no,
@@ -9,16 +11,26 @@ Result<PageRef> BufferPool::GetPage(uint64_t file_id, uint64_t page_no,
     std::lock_guard<std::mutex> lock(mu_);
     auto it = pages_.find(key);
     if (it != pages_.end()) {
-      ++hits_;
+      hits_.fetch_add(1, std::memory_order_relaxed);
       TouchLocked(it->second, key);
       return it->second.page;
     }
-    ++misses_;
   }
   // Load outside the lock; concurrent loads of the same page are rare and
-  // benign (last insert wins, both readers get valid pages).
+  // benign (first insert wins, both readers get valid pages).
   auto page = std::make_shared<std::string>();
-  DECIBEL_RETURN_NOT_OK(source->ReadPageFromDisk(page_no, page.get()));
+  const auto start = std::chrono::steady_clock::now();
+  const Status loaded = source->ReadPageFromDisk(page_no, page.get());
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  miss_bytes_.fetch_add(page->size(), std::memory_order_relaxed);
+  miss_load_ns_.fetch_add(
+      static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+              .count()),
+      std::memory_order_relaxed);
+  DECIBEL_RETURN_NOT_OK(loaded);
+  if (page->empty()) return PageRef();
   PageRef ref = std::move(page);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -34,26 +46,18 @@ Result<PageRef> BufferPool::GetPage(uint64_t file_id, uint64_t page_no,
   return ref;
 }
 
-PageRef BufferPool::Peek(uint64_t file_id, uint64_t page_no) {
-  const Key key{file_id, page_no};
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = pages_.find(key);
-  if (it == pages_.end()) return nullptr;
-  ++hits_;
-  TouchLocked(it->second, key);
-  return it->second.page;
+BufferPoolStats BufferPool::stats() const {
+  BufferPoolStats s;
+  s.hits = hits_.load(std::memory_order_relaxed);
+  s.misses = misses_.load(std::memory_order_relaxed);
+  s.miss_bytes = miss_bytes_.load(std::memory_order_relaxed);
+  s.miss_load_ns = miss_load_ns_.load(std::memory_order_relaxed);
+  return s;
 }
 
-void BufferPool::Insert(uint64_t file_id, uint64_t page_no, PageRef page) {
-  const Key key{file_id, page_no};
+uint64_t BufferPool::resident_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = pages_.try_emplace(key);
-  if (!inserted) return;
-  lru_.push_front(key);
-  it->second.page = std::move(page);
-  it->second.lru_pos = lru_.begin();
-  resident_bytes_ += it->second.page->size();
-  EvictIfNeededLocked();
+  return resident_bytes_;
 }
 
 void BufferPool::TouchLocked(Entry& e, const Key& k) {

@@ -11,6 +11,7 @@
 /// Pages are handed out as shared_ptr<const string>; a reader holding a
 /// page keeps it alive even if the pool evicts it concurrently.
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -29,8 +30,23 @@ using PageRef = std::shared_ptr<const std::string>;
 class PageSource {
  public:
   virtual ~PageSource() = default;
-  /// Reads page \p page_no into \p out (exactly page-size bytes).
+  /// Reads page \p page_no into \p out (exactly page-size bytes). A source
+  /// may instead leave \p out empty to report that the page need not be
+  /// materialized (a loader that proved it irrelevant to its caller); the
+  /// pool then caches nothing and GetPage returns a null PageRef.
   virtual Status ReadPageFromDisk(uint64_t page_no, std::string* out) = 0;
+};
+
+/// Lifetime counters of one pool. A miss is one call into
+/// PageSource::ReadPageFromDisk; miss_bytes counts the page bytes those
+/// calls produced and miss_load_ns the wall time spent inside them (read,
+/// checksum and decode) — so miss_load_ns / miss_bytes is what a page
+/// fetch costs per byte.
+struct BufferPoolStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t miss_bytes = 0;
+  uint64_t miss_load_ns = 0;
 };
 
 class BufferPool {
@@ -44,19 +60,9 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Returns page \p page_no of file \p file_id, loading it via \p source
-  /// on miss.
+  /// on miss (null if the source declined to materialize it).
   Result<PageRef> GetPage(uint64_t file_id, uint64_t page_no,
                           PageSource* source);
-
-  /// Returns the cached page, or null on miss — never loads. Lets a
-  /// caller that can serve itself from compressed stored bytes check for
-  /// an already-decoded copy first.
-  PageRef Peek(uint64_t file_id, uint64_t page_no);
-
-  /// Caches an already-materialized page (e.g. one the caller decoded
-  /// from compressed stored bytes). A page already cached under the key
-  /// is kept — both copies are equally valid, immutable decodings.
-  void Insert(uint64_t file_id, uint64_t page_no, PageRef page);
 
   /// Drops every cached page. Benchmarks call this between measured
   /// queries to approximate the paper's cold-cache methodology (§5).
@@ -66,9 +72,10 @@ class BufferPool {
   /// destroyed so ids can be recycled safely).
   void EvictFile(uint64_t file_id);
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t resident_bytes() const { return resident_bytes_; }
+  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  BufferPoolStats stats() const;
+  uint64_t resident_bytes() const;
 
  private:
   struct Key {
@@ -93,12 +100,16 @@ class BufferPool {
   void EvictIfNeededLocked();
 
   const uint64_t capacity_bytes_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::unordered_map<Key, Entry, KeyHash> pages_;
   std::list<Key> lru_;  // front = most recent
   uint64_t resident_bytes_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
+  // Counters are read without mu_ (stats endpoints), so they are atomics;
+  // relaxed ordering suffices for monotonic tallies.
+  std::atomic<uint64_t> hits_{0};
+  std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> miss_bytes_{0};
+  std::atomic<uint64_t> miss_load_ns_{0};
 };
 
 }  // namespace decibel

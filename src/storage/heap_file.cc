@@ -472,8 +472,8 @@ bool HeapFile::SnapshotTailIfCurrent(uint64_t page_no, std::string* out,
   return true;
 }
 
-Status HeapFile::ReadStoredPage(uint64_t page_no, std::string* stored,
-                                PageHeader* header) const {
+Status HeapFile::LoadPage(uint64_t page_no, const PreparedPredicate* predicate,
+                          std::string* out, PageHeader* header) const {
   {
     std::lock_guard<std::mutex> lock(reader_mu_);
     if (!reader_.has_value()) {
@@ -483,10 +483,10 @@ Status HeapFile::ReadStoredPage(uint64_t page_no, std::string* stored,
       reader_.emplace(std::move(r));
     }
   }
-  std::string head;
-  DECIBEL_RETURN_NOT_OK(
-      reader_->Read(PageOffset(page_no), kPageHeaderSize, &head));
-  header->count = DecodeFixed32(head.data());
+  char head[kPageHeaderSize];
+  DECIBEL_RETURN_NOT_OK(reader_->Read(PageOffset(page_no), kPageHeaderSize,
+                                      head));
+  header->count = DecodeFixed32(head);
   if (header->count > records_per_page_) {
     return Status::Corruption("heapfile: bad page count in " + path_);
   }
@@ -495,52 +495,71 @@ Status HeapFile::ReadStoredPage(uint64_t page_no, std::string* stored,
     return Status::Corruption("heapfile: bad page format in " + path_);
   }
   header->format = static_cast<columnar::PageFormat>(format_byte);
-  header->stored_len = DecodeFixed32(head.data() + 12);
+  header->stored_len = DecodeFixed32(head + 12);
   if (header->stored_len > options_.page_size - kPageHeaderSize ||
       (header->format == columnar::PageFormat::kRaw &&
        header->stored_len != header->count * record_size_)) {
     return Status::Corruption("heapfile: bad page length in " + path_);
   }
-  // Read only the stored bytes — a compressed page costs its compressed
-  // size in I/O, not a full page slot.
-  DECIBEL_RETURN_NOT_OK(reader_->Read(PageOffset(page_no) + kPageHeaderSize,
-                                      header->stored_len, stored));
-  if (options_.verify_checksums) {
-    const uint32_t crc = UnmaskCrc(DecodeFixed32(head.data() + 4));
-    if (crc != Crc32(Slice(*stored))) {
+  auto verify = [&](Slice stored) {
+    if (options_.verify_checksums &&
+        UnmaskCrc(DecodeFixed32(head + 4)) != Crc32(stored)) {
       return Status::Corruption("heapfile: page " + std::to_string(page_no) +
                                 " checksum mismatch in " + path_);
     }
+    return Status::OK();
+  };
+  // The cached shape is always a decoded page: the v2 header (format and
+  // stored_len kept for I/O accounting, CRC zeroed) followed by the raw
+  // row-major payload at the usual offset, padded to the page size, so
+  // every consumer's payload arithmetic is the same whatever the format.
+  // Only the stored bytes are read — a compressed page costs its
+  // compressed size in I/O, not a full page slot.
+  const uint64_t stored_offset = PageOffset(page_no) + kPageHeaderSize;
+  if (header->format == columnar::PageFormat::kRaw) {
+    // Raw payload goes straight into the page the pool will cache.
+    out->assign(options_.page_size, '\0');
+    EncodePageHeader(out->data(), header->count, 0, header->format,
+                     header->stored_len);
+    char* payload = out->data() + kPageHeaderSize;
+    DECIBEL_RETURN_NOT_OK(
+        reader_->Read(stored_offset, header->stored_len, payload));
+    return verify(Slice(payload, header->stored_len));
   }
+  std::string stored;
+  DECIBEL_RETURN_NOT_OK(
+      reader_->Read(stored_offset, header->stored_len, &stored));
+  DECIBEL_RETURN_NOT_OK(verify(Slice(stored)));
+  if (!stats_enabled()) {
+    return Status::Corruption("heapfile: compressed page without schema in " +
+                              path_);
+  }
+  out->clear();
+  if (predicate != nullptr &&
+      header->format == columnar::PageFormat::kColumnar &&
+      !predicate->raw_comparisons().empty()) {
+    // Try to prove the page empty of matches from the compressed strips:
+    // one comparison per RLE run / dictionary code, no decode, and the
+    // buffer pool stays unpolluted by a page nobody will read.
+    bool exact = false;
+    const uint64_t matches = columnar::CountMatchesCompressed(
+        *options_.schema, header->format, Slice(stored), header->count,
+        predicate->raw_comparisons(), &exact);
+    if (exact && matches == 0) return Status::OK();  // left empty
+  }
+  out->reserve(options_.page_size);
+  out->resize(kPageHeaderSize, '\0');
+  EncodePageHeader(out->data(), header->count, 0, header->format,
+                   header->stored_len);
+  DECIBEL_RETURN_NOT_OK(columnar::DecodePage(
+      *options_.schema, header->format, Slice(stored), header->count, out));
+  out->resize(options_.page_size, '\0');
   return Status::OK();
 }
 
 Status HeapFile::ReadPageFromDisk(uint64_t page_no, std::string* out) {
   PageHeader header;
-  std::string stored;
-  DECIBEL_RETURN_NOT_OK(ReadStoredPage(page_no, &stored, &header));
-  // Normalize to a decoded page: the v2 header (format and stored_len
-  // kept for I/O accounting) followed by the raw row-major payload at
-  // the usual offset, padded to the page size. Cached pages are always
-  // in this shape, so every consumer's payload arithmetic is unchanged.
-  out->clear();
-  out->reserve(options_.page_size);
-  out->resize(kPageHeaderSize, '\0');
-  EncodePageHeader(out->data(), header.count, 0, header.format,
-                   header.stored_len);
-  if (header.format == columnar::PageFormat::kRaw) {
-    out->append(stored);
-  } else {
-    if (!stats_enabled()) {
-      return Status::Corruption(
-          "heapfile: compressed page without schema in " + path_);
-    }
-    DECIBEL_RETURN_NOT_OK(columnar::DecodePage(*options_.schema,
-                                               header.format, Slice(stored),
-                                               header.count, out));
-  }
-  out->resize(options_.page_size, '\0');
-  return Status::OK();
+  return LoadPage(page_no, nullptr, out, &header);
 }
 
 Status HeapFile::Get(uint64_t index, std::string* out) {
@@ -573,20 +592,8 @@ Status HeapFile::Get(uint64_t index, std::string* out) {
 }
 
 Result<HeapFile::PinnedPage> HeapFile::PinPage(uint64_t page_no) {
-  PinnedPage out;
-  uint32_t count;
-  if (SnapshotTailIfCurrent(page_no, &out.tail, &count)) {
-    out.payload = out.tail.data();
-    out.count = count;
-    out.io_bytes = out.tail.size();
-    return out;
-  }
-  DECIBEL_ASSIGN_OR_RETURN(out.pin,
-                           pool_->GetPage(file_id_, page_no, this));
-  out.payload = out.pin->data() + kPageHeaderSize;
-  out.count = DecodeFixed32(out.pin->data());
-  out.io_bytes = kPageHeaderSize + DecodeFixed32(out.pin->data() + 12);
-  return out;
+  bool no_matches;
+  return PinPageCounted(page_no, nullptr, &no_matches);
 }
 
 Result<HeapFile::PinnedPage> HeapFile::PinPageCounted(
@@ -600,55 +607,34 @@ Result<HeapFile::PinnedPage> HeapFile::PinPageCounted(
     out.io_bytes = out.tail.size();
     return out;
   }
-  if (PageRef cached = pool_->Peek(file_id_, page_no)) {
-    out.pin = std::move(cached);
-    out.payload = out.pin->data() + kPageHeaderSize;
-    out.count = DecodeFixed32(out.pin->data());
-    out.io_bytes = kPageHeaderSize + DecodeFixed32(out.pin->data() + 12);
+  // A miss goes through the pool like any other (so it is counted and
+  // timed), with a loader that carries the predicate into LoadPage.
+  class PredicateLoad final : public PageSource {
+   public:
+    PredicateLoad(const HeapFile* file, const PreparedPredicate* predicate)
+        : file_(file), predicate_(predicate) {}
+    Status ReadPageFromDisk(uint64_t page_no, std::string* page) override {
+      return file_->LoadPage(page_no, predicate_, page, &header);
+    }
+    PageHeader header;
+
+   private:
+    const HeapFile* file_;
+    const PreparedPredicate* predicate_;
+  };
+  PredicateLoad load(this, predicate);
+  DECIBEL_ASSIGN_OR_RETURN(out.pin, pool_->GetPage(file_id_, page_no, &load));
+  if (out.pin == nullptr) {
+    // Proven match-free from its compressed strips: payload-less, but the
+    // stored bytes inspected are still charged.
+    *no_matches = true;
+    out.count = load.header.count;
+    out.io_bytes = kPageHeaderSize + load.header.stored_len;
     return out;
   }
-  PageHeader header;
-  std::string stored;
-  DECIBEL_RETURN_NOT_OK(ReadStoredPage(page_no, &stored, &header));
-  out.io_bytes = kPageHeaderSize + header.stored_len;
-  if (predicate != nullptr && stats_enabled() &&
-      header.format == columnar::PageFormat::kColumnar &&
-      !predicate->raw_comparisons().empty()) {
-    // Try to prove the page empty of matches from the compressed strips:
-    // one comparison per RLE run / dictionary code, no decode, and the
-    // buffer pool stays unpolluted by a page nobody will read.
-    bool exact = false;
-    const uint64_t matches = columnar::CountMatchesCompressed(
-        *options_.schema, header.format, Slice(stored), header.count,
-        predicate->raw_comparisons(), &exact);
-    if (exact && matches == 0) {
-      *no_matches = true;
-      out.count = header.count;
-      return out;  // payload-less: caller must skip, not read
-    }
-  }
-  auto page = std::make_shared<std::string>();
-  page->reserve(options_.page_size);
-  page->resize(kPageHeaderSize, '\0');
-  EncodePageHeader(page->data(), header.count, 0, header.format,
-                   header.stored_len);
-  if (header.format == columnar::PageFormat::kRaw) {
-    page->append(stored);
-  } else {
-    if (!stats_enabled()) {
-      return Status::Corruption(
-          "heapfile: compressed page without schema in " + path_);
-    }
-    DECIBEL_RETURN_NOT_OK(columnar::DecodePage(*options_.schema,
-                                               header.format, Slice(stored),
-                                               header.count, page.get()));
-  }
-  page->resize(options_.page_size, '\0');
-  PageRef ref = std::move(page);
-  pool_->Insert(file_id_, page_no, ref);
-  out.pin = std::move(ref);
   out.payload = out.pin->data() + kPageHeaderSize;
-  out.count = header.count;
+  out.count = DecodeFixed32(out.pin->data());
+  out.io_bytes = kPageHeaderSize + DecodeFixed32(out.pin->data() + 12);
   return out;
 }
 

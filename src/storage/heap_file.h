@@ -278,11 +278,13 @@ class HeapFile : public PageSource {
 
   Status WriteHeader();
   Status WriteTailPage();
-  /// Reads and validates a sealed page's stored bytes (header + exactly
-  /// stored_len payload bytes — compressed pages read less than a full
-  /// page slot).
-  Status ReadStoredPage(uint64_t page_no, std::string* stored,
-                        PageHeader* header) const;
+  /// The one page-load path behind every buffer-pool miss: reads sealed
+  /// page \p page_no's header and stored bytes, verifies the CRC, and
+  /// leaves the decoded page in \p out. Raw payloads are read straight
+  /// into \p out. With \p predicate set, a columnar page whose compressed
+  /// strips prove zero matches is left undecoded and \p out empty.
+  Status LoadPage(uint64_t page_no, const PreparedPredicate* predicate,
+                  std::string* out, PageHeader* header) const;
   /// Folds one staged record into the tail/file zones (call before
   /// publishing num_records_).
   void FoldTailRecords(const char* records, uint64_t count);

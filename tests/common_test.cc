@@ -160,6 +160,71 @@ TEST(Crc32Test, DetectsCorruption) {
   EXPECT_NE(Crc32(data), crc);
 }
 
+// Reference values below come from zlib's crc32(), an implementation
+// independent of this one; the 64-byte-and-up ones take the folding kernel
+// on CPUs that have it.
+TEST(Crc32Test, KnownVectorsShortAndLong) {
+  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(Crc32("a"), 0xe8b7be43u);
+  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"), 0x414fa339u);
+  EXPECT_EQ(Crc32(std::string(64, '\0')), 0x758d6336u);
+  std::string ramp;
+  for (int rep = 0; rep < 4; ++rep) {
+    for (int i = 0; i < 256; ++i) ramp.push_back(static_cast<char>(i));
+  }
+  EXPECT_EQ(Crc32(ramp), 0xb70b4c26u);
+  std::string big((1 << 20) + 13, '\0');
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>((i * 131 + 7) & 0xff);
+  }
+  EXPECT_EQ(Crc32(Slice(big.data(), 1 << 20)), 0xcc7a0791u);
+  EXPECT_EQ(Crc32(big), 0x24d303bau);
+  EXPECT_EQ(internal::Crc32Portable(big), 0x24d303bau);
+}
+
+std::string RandomBytes(Random* rng, size_t n) {
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng->Next());
+  return out;
+}
+
+TEST(Crc32Test, MatchesPortableAtEveryLengthAndAlignment) {
+  Random rng(0xc5c);
+  const std::string buf = RandomBytes(&rng, 4096 + 16);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      const Slice s(buf.data() + offset, len);
+      const uint32_t seed = static_cast<uint32_t>(len * 2654435761u);
+      ASSERT_EQ(Crc32(s), internal::Crc32Portable(s))
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(Crc32(s, seed), internal::Crc32Portable(s, seed))
+          << "offset " << offset << " len " << len << " seeded";
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesPortableOnPageSizedBuffers) {
+  Random rng(0x1d1);
+  for (size_t n : {size_t{1} << 20, (size_t{1} << 20) + 13}) {
+    const std::string buf = RandomBytes(&rng, n);
+    EXPECT_EQ(Crc32(buf), internal::Crc32Portable(buf)) << n;
+    EXPECT_EQ(Crc32(buf, 0xdeadbeef),
+              internal::Crc32Portable(buf, 0xdeadbeef))
+        << n;
+  }
+}
+
+TEST(Crc32Test, SeedContinuesAcrossSplits) {
+  Random rng(0x5eed);
+  const std::string buf = RandomBytes(&rng, 3000);
+  const uint32_t whole = Crc32(buf);
+  for (size_t cut : {0, 1, 15, 16, 63, 64, 65, 200, 1024, 2999, 3000}) {
+    const Slice a(buf.data(), cut);
+    const Slice b(buf.data() + cut, buf.size() - cut);
+    EXPECT_EQ(Crc32(b, Crc32(a)), whole) << "cut " << cut;
+  }
+}
+
 TEST(HashTest, Deterministic) {
   EXPECT_EQ(Fnv1a64("abc"), Fnv1a64("abc"));
   EXPECT_NE(Fnv1a64("abc"), Fnv1a64("abd"));

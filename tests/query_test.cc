@@ -203,6 +203,40 @@ TEST_P(QueryTest, Q3JoinRespectsPredicateAndPairsVersions) {
   EXPECT_EQ(changed, 5);  // evens were updated in dev
 }
 
+TEST_P(QueryTest, Q3ProbeScansOnlyTheBuildKeyRange) {
+  // Grow dev by keys far above anything the build side can hold, filling
+  // pages a key-range restricted probe can skip whole.
+  ASSERT_OK_AND_ASSIGN(Transaction txn, db_->Begin(dev_));
+  for (int64_t pk = 1000; pk < 4000; ++pk) {
+    ASSERT_OK(txn.Insert(MakeRecord(schema_, pk, 7)));
+  }
+  ASSERT_OK(txn.Commit());
+  auto pred = Predicate::Compare(schema_, "c1", CompareOp::kLt, 10);
+  ASSERT_TRUE(pred.ok());
+  int pairs = 0;
+  ASSERT_OK_AND_ASSIGN(
+      query::QueryStats stats,
+      query::JoinVersions(db_.get(), kMasterBranch, dev_, *pred,
+                          [&](const RecordRef& left, const RecordRef& right) {
+                            EXPECT_EQ(left.pk(), right.pk());
+                            EXPECT_LT(left.pk(), 10);
+                            ++pairs;
+                          }));
+  EXPECT_EQ(pairs, 10);
+  EXPECT_EQ(stats.rows_emitted, 10u);
+  // 50 build rows plus a probe that never reaches the 3,000 high keys.
+  EXPECT_LT(stats.rows_scanned, 1000u) << stats.rows_scanned;
+
+  // An empty build side skips the probe entirely.
+  auto none = Predicate::Compare(schema_, "c1", CompareOp::kEq, 123456);
+  ASSERT_TRUE(none.ok());
+  ASSERT_OK_AND_ASSIGN(query::QueryStats empty,
+                       query::JoinVersions(db_.get(), kMasterBranch, dev_,
+                                           *none, nullptr));
+  EXPECT_EQ(empty.rows_emitted, 0u);
+  EXPECT_LE(empty.rows_scanned, 50u);  // the build scan alone
+}
+
 TEST_P(QueryTest, Q4HeadsAnnotated) {
   auto pred = Predicate::Compare(schema_, "c1", CompareOp::kEq, 1000);
   ASSERT_TRUE(pred.ok());
@@ -584,6 +618,9 @@ TEST_F(VquelTest, InfoReportsEngineAndGraphCounters) {
   EXPECT_NE(info.find("active_branches: 2"), std::string::npos) << info;
   EXPECT_NE(info.find("durable: false"), std::string::npos) << info;
   EXPECT_NE(info.find("engine.num_records:"), std::string::npos) << info;
+  EXPECT_NE(info.find("engine.pool_misses:"), std::string::npos) << info;
+  EXPECT_NE(info.find("engine.pool_miss_load_ns:"), std::string::npos)
+      << info;
 }
 
 TEST_F(VquelTest, TransactionGuardsAndErrors) {

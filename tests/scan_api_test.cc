@@ -172,6 +172,8 @@ TEST_P(ScanApiTest, DiffViewIsQ2WithPushdown) {
   std::set<int64_t> pks;
   for (const auto& [pk, c1] : rows) pks.insert(pk);
   EXPECT_EQ(pks, (std::set<int64_t>{100, 101, 102, 103, 104}));
+  // The diff reads pages like any other view and says so.
+  EXPECT_GT(cursor->stats().bytes_read, 0u);
 
   auto by_pk = Predicate::Compare(schema_, "pk", CompareOp::kGe, 102);
   ASSERT_TRUE(by_pk.ok());
@@ -387,6 +389,35 @@ TEST_P(ScanApiTest, EngineReportsScanCounters) {
   const EngineStats stats = db_->engine()->Stats();
   EXPECT_EQ(stats.rows_scanned, rows_before + 50);
   EXPECT_GE(stats.bytes_scanned, 50u * schema_.record_size());
+}
+
+TEST_P(ScanApiTest, StatsReportBufferPoolMissesAndLoadTime) {
+  // Enough rows to seal pages, so reads go through the buffer pool.
+  ASSERT_OK_AND_ASSIGN(Transaction txn, db_->Begin(kMasterBranch));
+  for (int64_t pk = 1000; pk < 3000; ++pk) {
+    ASSERT_OK(txn.Insert(MakeRecord(schema_, pk, 5)));
+  }
+  ASSERT_OK(txn.Commit());
+  db_->engine()->DropCaches();
+  const BufferPoolStats before = db_->Stats().engine.pool;
+  {
+    ASSERT_OK_AND_ASSIGN(auto cursor,
+                         db_->NewScan(ScanSpec::Branch(kMasterBranch)));
+    EXPECT_EQ(Drain(cursor.get()).size(), 2050u);
+  }
+  const BufferPoolStats cold = db_->Stats().engine.pool;
+  EXPECT_GT(cold.misses, before.misses);
+  EXPECT_EQ(cold.miss_bytes - before.miss_bytes,
+            (cold.misses - before.misses) * 4096u);
+  EXPECT_GT(cold.miss_load_ns, before.miss_load_ns);
+  {
+    ASSERT_OK_AND_ASSIGN(auto cursor,
+                         db_->NewScan(ScanSpec::Branch(kMasterBranch)));
+    Drain(cursor.get());
+  }
+  const BufferPoolStats warm = db_->Stats().engine.pool;
+  EXPECT_EQ(warm.misses, cold.misses);  // the pool holds every page
+  EXPECT_GT(warm.hits, cold.hits);
 }
 
 TEST_P(ScanApiTest, ParallelismHintPreservesResults) {

@@ -3,7 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "bitmap/bitmap.h"
 #include "common/random.h"
+#include "engine/bitmap_scan.h"
+#include "engine/scan_spec.h"
+#include "query/predicate.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 #include "storage/record.h"
@@ -268,6 +276,101 @@ TEST_F(HeapFileTest, CorruptPageDetected) {
   }
 }
 
+// A sealed page of a file with the default 1 MiB pages, one payload byte
+// flipped on disk: every read path must report Corruption, for raw and for
+// compressed pages alike.
+class HeapFileLargePageTest : public ::testing::Test {
+ protected:
+  HeapFileLargePageTest()
+      : dir_("bigpage"), schema_(testing_util::TestSchema(3)), pool_(8 << 20) {
+    opts_.schema = &schema_;
+  }
+
+  // Writes one full page plus a short tail through AppendBatch (whose
+  // full-page path is the one that compresses), then flips one byte of
+  // page 0's stored payload. Returns the page's format byte.
+  uint8_t WriteAndCorrupt() {
+    path_ = JoinPath(dir_.path(), "t.dbhf");
+    {
+      auto file = HeapFile::Create(path_, schema_.record_size(), opts_, &pool_);
+      EXPECT_TRUE(file.ok());
+      rpp_ = (*file)->records_per_page();
+      std::string batch;
+      for (uint64_t i = 0; i < rpp_ + 10; ++i) {
+        batch += testing_util::MakeRecord(schema_, static_cast<int64_t>(i), 7)
+                   .data()
+                   .ToString();
+      }
+      EXPECT_TRUE((*file)->AppendBatch(batch, rpp_ + 10).ok());
+      EXPECT_OK((*file)->Flush());
+    }
+    auto contents = ReadFileToString(path_);
+    EXPECT_TRUE(contents.ok());
+    std::string mutated = *contents;
+    const uint64_t page0 = 64;  // after the file header
+    const uint8_t format = static_cast<uint8_t>(mutated[page0 + 8]);
+    uint32_t stored_len;
+    memcpy(&stored_len, mutated.data() + page0 + 12, sizeof(stored_len));
+    mutated[page0 + 16 + stored_len / 2] ^= 0x40;
+    EXPECT_OK(WriteStringToFile(path_, mutated));
+    return format;
+  }
+
+  std::unique_ptr<HeapFile> Reopen() {
+    auto file = HeapFile::Open(path_, opts_, &pool_);
+    EXPECT_TRUE(file.ok()) << file.status().ToString();
+    return std::move(file).MoveValueUnsafe();
+  }
+
+  ScratchDir dir_;
+  Schema schema_;
+  BufferPool pool_;
+  HeapFile::Options opts_;
+  std::string path_;
+  uint64_t rpp_ = 0;
+};
+
+TEST_F(HeapFileLargePageTest, CorruptRawPageFailsGet) {
+  ASSERT_EQ(WriteAndCorrupt(), 0u);  // kRaw
+  auto file = Reopen();
+  ASSERT_EQ(file->page_size(), 1u << 20);
+  std::string buf;
+  Status s = file->Get(0, &buf);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  // The tail page is intact and still served.
+  EXPECT_OK(file->Get(rpp_ + 1, &buf));
+}
+
+TEST_F(HeapFileLargePageTest, CorruptRawPageFailsBitmapScan) {
+  ASSERT_EQ(WriteAndCorrupt(), 0u);
+  auto file = Reopen();
+  Bitmap bits;
+  bits.Set(3);
+  bits.Set(rpp_ + 2);
+  BitmapScanner scanner(file.get(), &schema_, &bits);
+  RecordRef rec;
+  uint64_t idx;
+  EXPECT_FALSE(scanner.Next(&rec, &idx));
+  EXPECT_TRUE(scanner.status().IsCorruption()) << scanner.status().ToString();
+}
+
+TEST_F(HeapFileLargePageTest, CorruptCompressedPageFailsGetAndPrunedPin) {
+  opts_.compress_pages = true;
+  ASSERT_NE(WriteAndCorrupt(), 0u);  // stored compressed
+  auto file = Reopen();
+  std::string buf;
+  Status s = file->Get(0, &buf);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  // The compressed-strip shortcut must not answer from unverified bytes.
+  auto pred = Predicate::Compare(schema_, "c1", CompareOp::kEq, 1000);
+  ASSERT_TRUE(pred.ok());
+  const PreparedPredicate prepared(*pred, schema_);
+  bool no_matches = false;
+  auto pin = file->PinPageCounted(0, &prepared, &no_matches);
+  ASSERT_FALSE(pin.ok());
+  EXPECT_TRUE(pin.status().IsCorruption()) << pin.status().ToString();
+}
+
 // -------------------------------------------------------------- BufferPool
 
 TEST(BufferPoolTest, HitAndMissAccounting) {
@@ -285,9 +388,26 @@ TEST(BufferPoolTest, HitAndMissAccounting) {
   std::string buf;
   ASSERT_OK((*file)->Get(0, &buf));
   const uint64_t misses_after_first = pool.misses();
+  EXPECT_EQ(misses_after_first, 1u);
   ASSERT_OK((*file)->Get(1, &buf));  // same page -> hit
   EXPECT_EQ(pool.misses(), misses_after_first);
   EXPECT_GE(pool.hits(), 1u);
+
+  // Each miss loads one whole page and is timed.
+  BufferPoolStats s = pool.stats();
+  EXPECT_EQ(s.hits, pool.hits());
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.miss_bytes, 256u);
+  EXPECT_GT(s.miss_load_ns, 0u);
+
+  // The scan path's pins miss and hit through the same counters.
+  pool.EvictAll();
+  ASSERT_TRUE((*file)->PinPage(0).ok());
+  ASSERT_TRUE((*file)->PinPage(0).ok());
+  s = pool.stats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.miss_bytes, 512u);
+  EXPECT_GE(s.hits, 2u);
 }
 
 TEST(BufferPoolTest, EvictionBoundsMemory) {
@@ -331,6 +451,44 @@ TEST(BufferPoolTest, EvictedPagesStayValidForHolders) {
   ASSERT_OK((*file)->Get(128, &buf));
   // The pinned view is still readable (shared ownership).
   EXPECT_EQ(pinned->payload[0], 'v');
+}
+
+TEST(BufferPoolTest, CountersReadableWhileReadersLoadPages) {
+  ScratchDir dir("pool");
+  BufferPool pool(512);  // two pages: readers keep missing
+  HeapFile::Options opts;
+  opts.page_size = 256;
+  auto file = HeapFile::Create(JoinPath(dir.path(), "t.dbhf"), 32, opts,
+                               &pool);
+  ASSERT_TRUE(file.ok());
+  std::string rec(32, 'c');
+  for (int i = 0; i < 8 * 7; ++i) ASSERT_TRUE((*file)->Append(rec).ok());
+  constexpr int kReaders = 3;
+  constexpr int kReads = 300;
+  std::atomic<bool> done{false};
+  std::thread watcher([&] {
+    uint64_t last = 0;
+    while (!done.load()) {
+      const BufferPoolStats s = pool.stats();
+      EXPECT_GE(s.hits + s.misses, last);
+      last = s.hits + s.misses;
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      std::string buf;
+      for (int i = 0; i < kReads; ++i) {
+        EXPECT_OK((*file)->Get(static_cast<uint64_t>((i * 7 + t) % 48), &buf));
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  done = true;
+  watcher.join();
+  const BufferPoolStats s = pool.stats();
+  EXPECT_EQ(s.hits + s.misses, uint64_t{kReaders} * kReads);
+  EXPECT_EQ(s.miss_bytes, s.misses * 256);
 }
 
 }  // namespace
