@@ -6,6 +6,10 @@
 /// winner tables over both ancestries); tuple-first and hybrid answer from
 /// bitmaps; hybrid edges out tuple-first as interleaving grows because its
 /// segment skipping touches fewer records.
+///
+/// The engines must agree on the answer: each case also prints the rows
+/// every engine returned and the page bytes its diff read, and the bench
+/// exits non-zero when the row counts differ.
 
 #include "bench_common.h"
 
@@ -13,7 +17,8 @@ namespace decibel {
 namespace bench {
 namespace {
 
-void Run() {
+/// Returns false when the engines returned different row counts.
+bool Run() {
   const int num_branches = EnvInt("DECIBEL_BRANCHES", 10);
   const std::vector<std::pair<const char*, Strategy>> cases = {
       {"deep", Strategy::kDeep},
@@ -24,10 +29,14 @@ void Run() {
 
   printf("=== Figure 8: Query 2 (positive diff) latency (%d branches) ===\n",
          num_branches);
-  printf("%-8s %12s %12s %12s\n", "case", "VF (ms)", "TF (ms)", "HY (ms)");
+  printf("%-8s %10s %10s %10s %8s %10s %10s %10s\n", "case", "VF (ms)",
+         "TF (ms)", "HY (ms)", "rows", "VF MB", "TF MB", "HY MB");
 
+  bool agree = true;
   for (const auto& [label, strategy] : cases) {
     double ms[3];
+    uint64_t rows[3];
+    double mb[3];
     for (size_t e = 0; e < AllEngines().size(); ++e) {
       BENCH_ASSIGN_OR_DIE(ScopedDb scoped,
                           FreshDb(AllEngines()[e], "fig8"));
@@ -38,16 +47,27 @@ void Run() {
       const auto [a, b] = SelectQ2Pair(w, &rng);
       BENCH_ASSIGN_OR_DIE(TimedQuery q2, TimedQ2(scoped.db.get(), a, b));
       ms[e] = q2.seconds * 1e3;
+      rows[e] = q2.stats.rows_emitted;
+      mb[e] = static_cast<double>(q2.stats.bytes_read) / (1 << 20);
     }
-    printf("%-8s %12.2f %12.2f %12.2f\n", label, ms[0], ms[1], ms[2]);
+    printf("%-8s %10.2f %10.2f %10.2f %8llu %10.2f %10.2f %10.2f\n", label,
+           ms[0], ms[1], ms[2], static_cast<unsigned long long>(rows[0]),
+           mb[0], mb[1], mb[2]);
+    if (rows[0] != rows[1] || rows[0] != rows[2]) {
+      fprintf(stderr,
+              "fig8 %s: engines disagree on Q2 rows (VF %llu, TF %llu, "
+              "HY %llu)\n",
+              label, static_cast<unsigned long long>(rows[0]),
+              static_cast<unsigned long long>(rows[1]),
+              static_cast<unsigned long long>(rows[2]));
+      agree = false;
+    }
   }
+  return agree;
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace decibel
 
-int main() {
-  decibel::bench::Run();
-  return 0;
-}
+int main() { return decibel::bench::Run() ? 0 : 1; }

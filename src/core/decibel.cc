@@ -1030,7 +1030,7 @@ Result<Record> Decibel::GetAt(CommitId commit, int64_t pk) {
 
 Status Decibel::Diff(BranchId a, BranchId b, DiffMode mode,
                      const DiffCallback& pos, const DiffCallback& neg) {
-  return engine_->Diff(a, b, mode, pos, neg, /*stats=*/nullptr);
+  return DiffHeads(engine_.get(), a, b, mode, pos, neg, /*stats=*/nullptr);
 }
 
 Status Decibel::Flush() {

@@ -363,6 +363,8 @@ class Decibel {
   /// of the commit view; commits have no pk index).
   Result<Record> GetAt(CommitId commit, int64_t pk);
 
+  /// Two-sided diff of two branch heads (§2.2.3 Difference), the same on
+  /// every engine: see DiffHeads (merge_spec.h). For commits, DiffCommits.
   Status Diff(BranchId a, BranchId b, DiffMode mode, const DiffCallback& pos,
               const DiffCallback& neg);
 

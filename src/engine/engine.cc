@@ -15,8 +15,8 @@ Result<std::unique_ptr<ScanCursor>> MakeDiffScanCursor(
   const uint32_t row_bytes = ProjectedRowBytes(schema, spec.projection);
   auto cursor = std::make_unique<BufferedCursor>(&schema, counters);
   ScanStats* stats = cursor->mutable_stats();
-  DECIBEL_RETURN_NOT_OK(engine->Diff(
-      spec.branch, spec.diff_base, spec.diff_mode,
+  DECIBEL_RETURN_NOT_OK(DiffHeads(
+      engine, spec.branch, spec.diff_base, spec.diff_mode,
       [&](const RecordRef& rec) {
         if (spec.limit != 0 && cursor->buffered() >= spec.limit) return;
         ++stats->rows_scanned;

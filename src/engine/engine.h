@@ -6,7 +6,7 @@
 /// engines (§3): tuple-first, version-first, and hybrid. The Decibel
 /// facade (core/decibel.h) owns the version graph and drives engines with
 /// already-allocated branch and commit identifiers; engines own the
-/// physical layout, the scans, the diffs and the merges.
+/// physical layout, the scans, and the walks merge_spec.cc builds on.
 ///
 /// Data semantics (§2.2): a dataset is an unordered collection of records
 /// identified by primary key. Update is an upsert (a new physical copy of
@@ -99,8 +99,8 @@ struct EngineOptions {
 using MultiScanCallback =
     std::function<void(const RecordRef&, const std::vector<uint32_t>&)>;
 
-/// Record-at-a-time sink for diffs.
-using DiffCallback = std::function<void(const RecordRef&)>;
+/// DiffWalk's sink: \p in_a says which head holds the record.
+using DiffWalkCallback = std::function<void(const RecordRef&, bool in_a)>;
 
 // MergePolicy, MergeResult and the merge-walk types live in
 // engine/merge_spec.h (included above): the merge surface is shared
@@ -158,10 +158,9 @@ class StorageEngine {
   /// of once per record. The facade calls this under the branch's
   /// exclusive lock; per-record mutations arrive as one-op batches.
   ///
-  /// Engines that maintain a pk index (tuple-first, hybrid) validate the
-  /// batch's deletes up front so a delete of an absent key fails with
-  /// NotFound before any operation is applied; version-first keeps its
-  /// blind-tombstone delete semantics (§3.3).
+  /// Every engine validates the batch's deletes against its pk index up
+  /// front (ValidateBatchDeletes), so a delete of a key not live in the
+  /// branch fails with NotFound before any operation is applied.
   virtual Status ApplyBatch(BranchId branch, const WriteBatch& batch) = 0;
 
   // -------------------------------------------------------------- queries
@@ -179,16 +178,16 @@ class StorageEngine {
   /// NotFound when the key is not live in the branch.
   virtual Result<Record> Get(BranchId branch, int64_t pk) = 0;
 
-  /// Streams the positive diff (in \p a, not in \p b) to \p pos and the
-  /// negative diff to \p neg. Either callback may be null. (NewScan's
-  /// kDiff view serves the positive side with pushdown; merges and the
-  /// facade's Diff need both sides.) \p stats (optional) receives the
-  /// bytes_read of the pages the diff fetched.
-  virtual Status Diff(BranchId a, BranchId b, DiffMode mode,
-                      const DiffCallback& pos, const DiffCallback& neg,
-                      ScanStats* stats) = 0;
+  /// The head-diff substrate (§2.2.3 Difference): from one snapshot of the
+  /// heads of \p a and \p b, streams once each record live in exactly one
+  /// of them (so a record live in both at the same location is skipped;
+  /// a head holds one live location per key). Refs are valid only during
+  /// the callback. DiffHeads (merge_spec.cc) builds the diff modes on it.
+  /// \p stats (optional) receives the bytes_read of the pages it fetched.
+  virtual Status DiffWalk(BranchId a, BranchId b, const DiffWalkCallback& cb,
+                          ScanStats* stats) = 0;
 
-  /// The merge/diff substrate (§2.2.3): streams every primary key whose
+  /// The merge and commit-diff substrate (§2.2.3): streams every key whose
   /// record state differs between commits \p left and \p right, with the
   /// key's state at both commits and at ancestor \p base, in ascending pk
   /// order. A null ref means the key is not live at that commit. Refs are
@@ -196,7 +195,7 @@ class StorageEngine {
   /// whose two sides turn out byte-equal (the shared staging skips them);
   /// they must never *omit* a key whose states differ. All merge and diff
   /// semantics live on top in merge_spec.cc — engines compete on the cost
-  /// of this walk, never on its answers.
+  /// of their walks, never on their answers.
   virtual Status MergeWalk(CommitId left, CommitId right, CommitId base,
                            const MergeWalkCallback& cb,
                            MergeWalkStats* stats) = 0;

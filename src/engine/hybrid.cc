@@ -847,20 +847,18 @@ Result<Record> HybridEngine::Get(BranchId branch, int64_t pk) {
   return Record(&schema_, Slice(buf));
 }
 
-Status HybridEngine::Diff(BranchId a, BranchId b, DiffMode mode,
-                          const DiffCallback& pos, const DiffCallback& neg,
-                          ScanStats* stats) {
-  // Materialize both sides' per-segment deltas under the two branches'
-  // stripes (ascending order via MultiGuard), then scan the snapshot
-  // with the stripes released.
+Status HybridEngine::DiffWalk(BranchId a, BranchId b,
+                              const DiffWalkCallback& cb, ScanStats* stats) {
+  // The tuple-first XOR per segment: materialize both sides' per-segment
+  // deltas under the two branches' stripes (ascending order via
+  // MultiGuard), then scan the snapshot once with the stripes released.
   std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  struct SegDiff {
+  struct SegDelta {
     HeapFile* file = nullptr;
-    Bitmap only_a;
-    Bitmap only_b;
-    Bitmap both;
+    Bitmap in_a;
+    Bitmap delta;
   };
-  std::vector<SegDiff> seg_diffs;
+  std::vector<SegDelta> seg_deltas;
   {
     StripeLocks::MultiGuard stripe_locks(stripes_, {a, b});
     Bitmap segs;
@@ -869,51 +867,20 @@ Status HybridEngine::Diff(BranchId a, BranchId b, DiffMode mode,
       if (it != branch_segments_.end()) segs.OrWith(it->second);
     }
     segs.ForEachSet([&](uint64_t seg) {
-      SegDiff d;
+      SegDelta d;
       d.file = segments_[seg]->file.get();
-      const Bitmap la = segments_[seg]->local.MaterializeBranch(a);
-      const Bitmap lb = segments_[seg]->local.MaterializeBranch(b);
-      d.only_a = Bitmap::AndNot(la, lb);
-      d.only_b = Bitmap::AndNot(lb, la);
-      d.both = Bitmap::Or(d.only_a, d.only_b);
-      seg_diffs.push_back(std::move(d));
+      d.in_a = segments_[seg]->local.MaterializeBranch(a);
+      d.delta = Bitmap::Xor(d.in_a, segments_[seg]->local.MaterializeBranch(b));
+      if (d.delta.Any()) seg_deltas.push_back(std::move(d));
     });
   }
 
-  // By-key mode needs each side's touched keys before emitting.
-  std::unordered_set<int64_t> pks_a, pks_b;
-  if (mode == DiffMode::kByKey) {
-    for (const SegDiff& d : seg_diffs) {
-      BitmapScanner scanner(d.file, &schema_, &d.both);
-      scanner.EnablePruning(/*predicate=*/nullptr, stats);
-      RecordRef rec;
-      uint64_t idx;
-      while (scanner.Next(&rec, &idx)) {
-        if (d.only_a.Test(idx)) pks_a.insert(rec.pk());
-        if (d.only_b.Test(idx)) pks_b.insert(rec.pk());
-      }
-      DECIBEL_RETURN_NOT_OK(scanner.status());
-    }
-  }
-
-  for (const SegDiff& d : seg_diffs) {
-    BitmapScanner scanner(d.file, &schema_, &d.both);
+  for (const SegDelta& d : seg_deltas) {
+    BitmapScanner scanner(d.file, &schema_, &d.delta);
     scanner.EnablePruning(/*predicate=*/nullptr, stats);
     RecordRef rec;
     uint64_t idx;
-    while (scanner.Next(&rec, &idx)) {
-      const bool in_a = d.only_a.Test(idx);
-      if (in_a && pos) {
-        if (mode == DiffMode::kByContent || pks_b.count(rec.pk()) == 0) {
-          pos(rec);
-        }
-      }
-      if (!in_a && neg) {
-        if (mode == DiffMode::kByContent || pks_a.count(rec.pk()) == 0) {
-          neg(rec);
-        }
-      }
-    }
+    while (scanner.Next(&rec, &idx)) cb(rec, d.in_a.Test(idx));
     DECIBEL_RETURN_NOT_OK(scanner.status());
   }
   return Status::OK();

@@ -1,5 +1,8 @@
 #include "engine/merge_spec.h"
 
+#include <cstring>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "engine/engine.h"
@@ -218,6 +221,57 @@ Status StageDiff(StorageEngine* engine, const Schema& schema,
   DECIBEL_RETURN_NOT_OK(
       engine->MergeWalk(a, b, base, classify, &walk_stats));
   plan->result.bytes_processed = walk_stats.bytes_processed;
+  return Status::OK();
+}
+
+Status DiffHeads(StorageEngine* engine, BranchId a, BranchId b,
+                 DiffMode mode, const DiffCallback& pos,
+                 const DiffCallback& neg, ScanStats* stats) {
+  // Either side's keys are known only once the walk ends, so each side is
+  // buffered: its rows back to back in one arena (rows are fixed-width)
+  // when they are emitted or compared by content, and pk -> arena offset
+  // when the other side is emitted and looks its keys up here.
+  struct Side {
+    const DiffCallback* emit = nullptr;
+    bool keep_rows = false;
+    std::string arena;
+    std::unordered_map<int64_t, size_t> keys;
+  } sides[2];
+  sides[0].emit = &pos;
+  sides[1].emit = &neg;
+  const Schema& schema = engine->schema();
+  const size_t width = schema.record_size();
+  const bool by_content = mode == DiffMode::kByContent;
+  for (int s = 0; s < 2; ++s) {
+    sides[s].keep_rows = *sides[s].emit || (by_content && *sides[1 - s].emit);
+  }
+  DECIBEL_RETURN_NOT_OK(engine->DiffWalk(
+      a, b,
+      [&](const RecordRef& rec, bool in_a) {
+        Side& side = sides[in_a ? 0 : 1];
+        const size_t offset = side.arena.size();
+        if (side.keep_rows) side.arena.append(rec.data().data(), width);
+        if (*sides[in_a ? 1 : 0].emit) side.keys.emplace(rec.pk(), offset);
+      },
+      stats));
+
+  // A walked row's key is live on the other side exactly when the walk
+  // also emitted the other side's (differently located) copy of it.
+  for (int s = 0; s < 2; ++s) {
+    const Side& self = sides[s];
+    const Side& other = sides[1 - s];
+    if (!*self.emit) continue;
+    for (size_t off = 0; off < self.arena.size(); off += width) {
+      const char* row = self.arena.data() + off;
+      const RecordRef rec(&schema, Slice(row, width));
+      auto it = other.keys.find(rec.pk());
+      const bool held =
+          it != other.keys.end() &&
+          (!by_content ||
+           memcmp(other.arena.data() + it->second, row, width) == 0);
+      if (!held) (*self.emit)(rec);
+    }
+  }
   return Status::OK();
 }
 

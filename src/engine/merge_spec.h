@@ -15,10 +15,11 @@
 /// The engine substrate is one commit-addressed primitive,
 /// StorageEngine::MergeWalk(left, right, base): stream every primary key
 /// whose record state differs between two commits, with the key's state
-/// at both commits and at their common ancestor. Everything semantic —
-/// what is a conflict, which side wins, what gets written — lives in
-/// StageMerge/StageDiff here, shared by all three engines, so the
-/// engines can only diverge on *cost*, never on *answers*.
+/// at both commits and at their common ancestor; head diffs use
+/// StorageEngine::DiffWalk. Everything semantic — what is a conflict,
+/// which side wins, what gets written, what a diff emits — lives in
+/// StageMerge/StageDiff/DiffHeads here, shared by all three engines, so
+/// the engines can only diverge on *cost*, never on *answers*.
 ///
 /// Conflict semantics (§2.2.3): two records conflict if they share a
 /// primary key and both sides changed it since the lowest common
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "engine/scan_spec.h"
 #include "storage/record.h"
 #include "storage/schema.h"
 #include "txn/write_batch.h"
@@ -258,6 +260,18 @@ Status StageMerge(StorageEngine* engine, const Schema& schema,
 /// is staged.
 Status StageDiff(StorageEngine* engine, const Schema& schema,
                  CommitId a, CommitId b, CommitId base, MergePlan* plan);
+
+/// Record-at-a-time sink for head diffs.
+using DiffCallback = std::function<void(const RecordRef&)>;
+
+/// Two-sided diff of the heads of \p a and \p b over one DiffWalk: rows
+/// of a go to \p pos and rows of b to \p neg (either may be null) unless
+/// the other head holds their key (kByKey) or the same bytes (kByContent).
+/// Positive rows come first, then negative, each in walk order. \p stats
+/// (optional) receives the walk's bytes_read.
+Status DiffHeads(StorageEngine* engine, BranchId a, BranchId b,
+                 DiffMode mode, const DiffCallback& pos,
+                 const DiffCallback& neg, ScanStats* stats);
 
 /// Wraps a finished plan's rows into a cursor.
 std::unique_ptr<MergeCursor> MakeMergeCursor(std::vector<MergeRow> rows,

@@ -37,12 +37,14 @@
 namespace decibel {
 
 /// What "in A but not in B" means (§2.2.3 Difference; Table 1 query 2).
+/// Both modes answer identically on every engine (DiffHeads).
 enum class DiffMode {
   /// Key presence, the SQL "id NOT IN" semantics of benchmark Q2.
   kByKey,
-  /// Record-version identity: an updated record shows up on both sides
-  /// (its new version in one, its old version in the other). This is the
-  /// mode merges build on.
+  /// Byte equality: a row is in the diff unless the other side holds the
+  /// same bytes under its key. An updated key shows up on both sides (its
+  /// version in each); identical rows cancel out wherever they are stored,
+  /// e.g. the copy a merge adopted from the other branch.
   kByContent,
 };
 
@@ -113,7 +115,7 @@ struct ScanSpec {
     spec.view = ScanView::kHeads;
     return spec;
   }
-  /// Rows live in \p a whose key (kByKey) or version (kByContent) is
+  /// Rows live in \p a whose key (kByKey) or bytes (kByContent) are
   /// absent from \p b — Table 1 query 2's "id NOT IN" shape.
   static ScanSpec Diff(BranchId a, BranchId b,
                        DiffMode mode = DiffMode::kByKey) {

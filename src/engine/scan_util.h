@@ -93,10 +93,10 @@ class BufferedCursor : public ScanCursor {
   Status status_;
 };
 
-/// Serves a kDiff ScanSpec on top of an engine's Diff machinery: runs the
-/// positive diff eagerly, applying the pushed-down predicate before each
-/// row is copied into the buffer and stopping the copies at spec.limit.
-/// All three engines dispatch their kDiff views here.
+/// Serves a kDiff ScanSpec through DiffHeads over the engine's DiffWalk:
+/// runs the positive diff eagerly, applying the pushed-down predicate
+/// before each row is copied into the buffer and stopping the copies at
+/// spec.limit. All three engines dispatch their kDiff views here.
 Result<std::unique_ptr<ScanCursor>> MakeDiffScanCursor(
     StorageEngine* engine, const ScanSpec& spec, ScanCounters* counters);
 

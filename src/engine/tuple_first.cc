@@ -1,7 +1,6 @@
 #include "engine/tuple_first.h"
 
 #include <map>
-#include <unordered_set>
 
 #include "common/coding.h"
 #include "engine/scan_util.h"
@@ -488,58 +487,26 @@ Result<Record> TupleFirstEngine::Get(BranchId branch, int64_t pk) {
   return Record(&schema_, Slice(buf));
 }
 
-Status TupleFirstEngine::Diff(BranchId a, BranchId b, DiffMode mode,
-                              const DiffCallback& pos, const DiffCallback& neg,
-                              ScanStats* stats) {
+Status TupleFirstEngine::DiffWalk(BranchId a, BranchId b,
+                                  const DiffWalkCallback& cb,
+                                  ScanStats* stats) {
   // "Diff is straightforward to compute in tuple-first: we simply XOR
   // bitmaps together and emit records on the appropriate iterator" (§3.2).
   // Both stripes are taken together (ascending order) so the two columns
-  // form one consistent snapshot; the record passes then run lock-free.
-  Bitmap bits_a, bits_b;
+  // form one consistent snapshot; the record pass then runs lock-free.
+  Bitmap bits_a, delta;
   {
     std::shared_lock<std::shared_mutex> registry(registry_mu_);
     StripeGuard stripes(this, {a, b});
     bits_a = index_->MaterializeBranch(a);
-    bits_b = index_->MaterializeBranch(b);
+    delta = Bitmap::Xor(bits_a, index_->MaterializeBranch(b));
   }
   const StripedHeap::Mapping mapping = heap_->SnapshotMapping();
-  const Bitmap only_a = Bitmap::AndNot(bits_a, bits_b);
-  const Bitmap only_b = Bitmap::AndNot(bits_b, bits_a);
-
-  std::unordered_set<int64_t> pks_a, pks_b;
-  if (mode == DiffMode::kByKey) {
-    // Key-presence semantics: a key updated on the other side is still
-    // "present" there, so collect each side's touched keys first.
-    const Bitmap both = Bitmap::Or(only_a, only_b);
-    StripedBitmapScanner pass1(mapping, &schema_, &both);
-    pass1.EnablePruning(/*predicate=*/nullptr, stats);
-    RecordRef rec;
-    uint64_t idx;
-    while (pass1.Next(&rec, &idx)) {
-      if (only_a.Test(idx)) pks_a.insert(rec.pk());
-      if (only_b.Test(idx)) pks_b.insert(rec.pk());
-    }
-    DECIBEL_RETURN_NOT_OK(pass1.status());
-  }
-
-  const Bitmap both = Bitmap::Or(only_a, only_b);
-  StripedBitmapScanner scanner(mapping, &schema_, &both);
+  StripedBitmapScanner scanner(mapping, &schema_, &delta);
   scanner.EnablePruning(/*predicate=*/nullptr, stats);
   RecordRef rec;
   uint64_t idx;
-  while (scanner.Next(&rec, &idx)) {
-    const bool in_a = only_a.Test(idx);
-    if (in_a && pos) {
-      if (mode == DiffMode::kByContent || pks_b.count(rec.pk()) == 0) {
-        pos(rec);
-      }
-    }
-    if (!in_a && neg) {
-      if (mode == DiffMode::kByContent || pks_a.count(rec.pk()) == 0) {
-        neg(rec);
-      }
-    }
-  }
+  while (scanner.Next(&rec, &idx)) cb(rec, bits_a.Test(idx));
   return scanner.status();
 }
 

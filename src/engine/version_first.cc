@@ -456,11 +456,14 @@ Status VersionFirstEngine::ApplyBatch(BranchId branch,
   // key; branch scans will ignore the earlier copy" and "deletes require
   // a tombstone" (§3.3). A delete-free batch (the bulk-load shape) is
   // one chunked heap append of the whole staged arena. The branch's pk
-  // index tracks the newest location per key; deletes erase blindly,
-  // preserving the layout's blind-tombstone semantics.
+  // index tracks the newest location per key, and validates the batch's
+  // deletes up front: a delete of a key not live in the branch fails the
+  // whole batch with NotFound, as in the bitmap engines.
   const uint32_t head = it->second;
   HeapFile* file = segments_[head]->file.get();
   PkIndex& pks = pk_index_[branch];
+  DECIBEL_RETURN_NOT_OK(ValidateBatchDeletes(
+      batch, [&pks](int64_t pk) { return pks.count(pk) != 0; }));
   pks.reserve(pks.size() + batch.num_appends());
   if (batch.num_appends() == batch.size()) {
     DECIBEL_ASSIGN_OR_RETURN(
@@ -992,12 +995,13 @@ Status VersionFirstEngine::FetchRecord(uint32_t seg, uint64_t idx,
 
 // --------------------------------------------------------------------- diff
 
-Status VersionFirstEngine::Diff(BranchId a, BranchId b, DiffMode mode,
-                                const DiffCallback& pos,
-                                const DiffCallback& neg, ScanStats* stats) {
+Status VersionFirstEngine::DiffWalk(BranchId a, BranchId b,
+                                    const DiffWalkCallback& cb,
+                                    ScanStats* stats) {
   // Version-first diffs pay for full winner-table construction over both
   // ancestries ("the need to make multiple passes over the dataset to
-  // identify the active records in both versions", §5.2).
+  // identify the active records in both versions", §5.2), then emit each
+  // side's live winners whose location the other side does not share.
   std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
   Root root_a, root_b;
   {
@@ -1007,60 +1011,20 @@ Status VersionFirstEngine::Diff(BranchId a, BranchId b, DiffMode mode,
   }
   std::vector<WinnerTable> tables;
   DECIBEL_RETURN_NOT_OK(BuildWinnerTables({root_a, root_b}, &tables, stats));
-  const WinnerTable& wa = tables[0];
-  const WinnerTable& wb = tables[1];
 
-  std::string buf, buf_other;
-  auto emit = [&](const Winner& w, const DiffCallback& cb) -> Status {
-    DECIBEL_RETURN_NOT_OK(FetchRecord(w.seg, w.idx, &buf));
-    cb(RecordRef(&schema_, buf));
-    return Status::OK();
-  };
-  // Merge-materialized copies mean two different locations can hold the
-  // same logical record; content comparisons must fall back to bytes.
-  auto same_content = [&](const Winner& x, const Winner& y,
-                          bool* equal) -> Status {
-    if (x.seg == y.seg && x.idx == y.idx) {
-      *equal = true;
-      return Status::OK();
+  std::string buf;
+  for (int side = 0; side < 2; ++side) {
+    const WinnerTable& other = tables[1 - side];
+    for (const auto& [pk, winner] : tables[side]) {
+      if (winner.tombstone) continue;
+      auto it = other.find(pk);
+      if (it != other.end() && it->second.seg == winner.seg &&
+          it->second.idx == winner.idx) {
+        continue;
+      }
+      DECIBEL_RETURN_NOT_OK(FetchRecord(winner.seg, winner.idx, &buf));
+      cb(RecordRef(&schema_, buf), side == 0);
     }
-    DECIBEL_RETURN_NOT_OK(FetchRecord(x.seg, x.idx, &buf));
-    DECIBEL_RETURN_NOT_OK(FetchRecord(y.seg, y.idx, &buf_other));
-    *equal = buf == buf_other;
-    return Status::OK();
-  };
-
-  for (const auto& [pk, winner] : wa) {
-    if (winner.tombstone) continue;
-    auto it = wb.find(pk);
-    const bool present_b = it != wb.end() && !it->second.tombstone;
-    bool differs;
-    if (mode == DiffMode::kByKey) {
-      differs = !present_b;
-    } else if (!present_b) {
-      differs = true;
-    } else {
-      bool equal;
-      DECIBEL_RETURN_NOT_OK(same_content(winner, it->second, &equal));
-      differs = !equal;
-    }
-    if (differs && pos) DECIBEL_RETURN_NOT_OK(emit(winner, pos));
-  }
-  for (const auto& [pk, winner] : wb) {
-    if (winner.tombstone) continue;
-    auto it = wa.find(pk);
-    const bool present_a = it != wa.end() && !it->second.tombstone;
-    bool differs;
-    if (mode == DiffMode::kByKey) {
-      differs = !present_a;
-    } else if (!present_a) {
-      differs = true;
-    } else {
-      bool equal;
-      DECIBEL_RETURN_NOT_OK(same_content(winner, it->second, &equal));
-      differs = !equal;
-    }
-    if (differs && neg) DECIBEL_RETURN_NOT_OK(emit(winner, neg));
   }
   return Status::OK();
 }

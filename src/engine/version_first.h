@@ -65,8 +65,8 @@ class VersionFirstEngine : public StorageEngine {
 
   Result<std::unique_ptr<ScanCursor>> NewScan(const ScanSpec& spec) override;
   Result<Record> Get(BranchId branch, int64_t pk) override;
-  Status Diff(BranchId a, BranchId b, DiffMode mode, const DiffCallback& pos,
-              const DiffCallback& neg, ScanStats* stats) override;
+  Status DiffWalk(BranchId a, BranchId b, const DiffWalkCallback& cb,
+                  ScanStats* stats) override;
   Status MergeWalk(CommitId left, CommitId right, CommitId base,
                    const MergeWalkCallback& cb, MergeWalkStats* stats) override;
   Status ReleaseBranch(BranchId branch) override;

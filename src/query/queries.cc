@@ -14,6 +14,7 @@ QueryStats ToQueryStats(const ScanStats& stats) {
   out.rows_emitted = stats.rows_emitted;
   out.rows_scanned = stats.rows_scanned;
   out.bytes_scanned = stats.bytes_scanned;
+  out.bytes_read = stats.bytes_read;
   return out;
 }
 

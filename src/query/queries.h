@@ -25,6 +25,7 @@ struct QueryStats {
   uint64_t rows_emitted = 0;
   uint64_t rows_scanned = 0;
   uint64_t bytes_scanned = 0;
+  uint64_t bytes_read = 0;  ///< stored page bytes the scan pinned
 };
 
 using RowCallback = std::function<void(const RecordRef&)>;

@@ -176,6 +176,58 @@ TEST_P(ConcurrentEngineTest, CursorSnapshotsAtOpen) {
   EXPECT_EQ(CollectBranch(db.get(), kMasterBranch).size(), 150u);
 }
 
+// A diff reads one snapshot of both heads. The writer deletes b's keys in
+// ascending order, so every consistent diff(a, b) is the contiguous prefix
+// of keys deleted so far, and no later answer is shorter than an earlier.
+TEST_P(ConcurrentEngineTest, DiffSnapshotsBothHeads) {
+  ScratchDir dir("conc_diff");
+  const Schema schema = TestSchema(2);
+  auto db = Decibel::Open(dir.path(), schema, Options()).MoveValueUnsafe();
+
+  constexpr int64_t kKeys = 120;
+  for (int64_t pk = 0; pk < kKeys; ++pk) {
+    ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(schema, pk, 1)));
+  }
+  Session s = db->NewSession();
+  ASSERT_OK_AND_ASSIGN(BranchId b, db->Branch("shrinking", &s));
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int64_t pk = 0; pk < kKeys; ++pk) {
+      ASSERT_OK(db->DeleteFrom(b, pk));
+      // Paced so that many diffs overlap the deletes.
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    done.store(true);
+  });
+
+  std::thread reader([&] {
+    size_t last = 0;
+    while (!done.load()) {
+      auto cursor = db->NewScan(ScanSpec::Diff(kMasterBranch, b));
+      ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+      std::set<int64_t> pks;
+      ScanRow row;
+      while ((*cursor)->Next(&row)) pks.insert(row.record.pk());
+      ASSERT_OK((*cursor)->status());
+      const int64_t n = static_cast<int64_t>(pks.size());
+      EXPECT_TRUE(pks.empty() || (*pks.begin() == 0 && *pks.rbegin() == n - 1))
+          << "diff is not a key prefix: " << n << " keys";
+      EXPECT_GE(pks.size(), last) << "diff went backwards in time";
+      last = pks.size();
+    }
+  });
+
+  writer.join();
+  reader.join();
+  ASSERT_OK_AND_ASSIGN(auto cursor,
+                       db->NewScan(ScanSpec::Diff(kMasterBranch, b)));
+  size_t count = 0;
+  ScanRow row;
+  while (cursor->Next(&row)) ++count;
+  EXPECT_EQ(count, static_cast<size_t>(kKeys));
+}
+
 // Merges (multi-stripe, registry-exclusive) race writers on unrelated
 // branches and each other. The ordered stripe acquisition must keep the
 // whole mix deadlock-free and every merge must land its source rows.

@@ -308,6 +308,32 @@ TEST_P(EngineTest, DiffIdenticalBranchesIsEmpty) {
   EXPECT_EQ(count, 0);
 }
 
+// After dev is merged into master both heads hold the same rows, some of
+// them as copies the merge wrote into master: by content as by key, the
+// heads do not differ, on every engine.
+TEST_P(EngineTest, DiffByContentAfterMergeIsEmpty) {
+  ASSERT_OK(db_->InsertInto(kMasterBranch, MakeRecord(schema_, 1, 1)));
+  ASSERT_OK(db_->InsertInto(kMasterBranch, MakeRecord(schema_, 2, 2)));
+  Session s = db_->NewSession();
+  ASSERT_OK_AND_ASSIGN(BranchId dev, db_->Branch("dev", &s));
+  ASSERT_OK(db_->UpdateIn(dev, MakeRecord(schema_, 1, 11)));
+  ASSERT_OK(db_->InsertInto(dev, MakeRecord(schema_, 3, 3)));
+  ASSERT_OK(db_->Merge(kMasterBranch, dev, MergePolicy::kThreeWayLeft)
+                .status());
+  ASSERT_EQ(CollectBranch(db_.get(), kMasterBranch),
+            CollectBranch(db_.get(), dev));
+
+  for (DiffMode mode : {DiffMode::kByContent, DiffMode::kByKey}) {
+    int pos = 0, neg = 0;
+    ASSERT_OK(db_->Diff(
+        kMasterBranch, dev, mode, [&](const RecordRef&) { ++pos; },
+        [&](const RecordRef&) { ++neg; }));
+    const char* name = mode == DiffMode::kByKey ? "by key" : "by content";
+    EXPECT_EQ(pos, 0) << name;
+    EXPECT_EQ(neg, 0) << name;
+  }
+}
+
 TEST_P(EngineTest, MergeUnionOfNonConflictingChanges) {
   ASSERT_OK(db_->InsertInto(kMasterBranch, MakeRecord(schema_, 1, 1)));
   ASSERT_OK(db_->InsertInto(kMasterBranch, MakeRecord(schema_, 2, 2)));

@@ -1,11 +1,13 @@
 /// Property-based testing: a randomized stream of versioning operations is
 /// applied simultaneously to a Decibel engine and to a naive in-memory
 /// oracle (one std::map per branch, snapshots per commit). After every
-/// burst the engine's scans, commit scans and diffs must agree with the
-/// oracle exactly. Parameterized over engine type x seed.
+/// burst the engine's scans, commit scans and diffs (by key and by
+/// content, through Diff and the filtered, limited diff view) must agree
+/// with the oracle exactly. Parameterized over engine type x seed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -172,23 +174,65 @@ TEST_P(ModelTest, RandomOperationStreamMatchesOracle) {
     auto rows = testing_util::Collect(it.value().get());
     EXPECT_EQ(rows, table) << "commit " << commit << " diverged";
   }
+  // The diff view's predicate splits the values written so far in half.
+  const int32_t threshold = 1000 + (next_val - 1000) / 2;
+  auto above = Predicate::Compare(schema, "c1", CompareOp::kGe, threshold);
+  ASSERT_TRUE(above.ok()) << above.status().ToString();
   for (size_t i = 0; i + 1 < branches.size(); ++i) {
     const BranchId a = branches[i];
     const BranchId b = branches[i + 1];
-    std::set<int64_t> pos, neg;
-    ASSERT_OK(db->Diff(
-        a, b, DiffMode::kByKey,
-        [&](const RecordRef& r) { pos.insert(r.pk()); },
-        [&](const RecordRef& r) { neg.insert(r.pk()); }));
-    std::set<int64_t> expected_pos, expected_neg;
-    for (const auto& [k, v] : oracle.branches[a]) {
-      if (oracle.branches[b].count(k) == 0) expected_pos.insert(k);
+    const Oracle::Table& ta = oracle.branches[a];
+    const Oracle::Table& tb = oracle.branches[b];
+    // By key: the other side lacks the key. By content: the other side
+    // lacks the key or holds a different value under it.
+    auto expected = [](const Oracle::Table& self, const Oracle::Table& other,
+                       DiffMode mode) {
+      Oracle::Table out;
+      for (const auto& [k, v] : self) {
+        auto it = other.find(k);
+        if (it == other.end() ||
+            (mode == DiffMode::kByContent && it->second != v)) {
+          out[k] = v;
+        }
+      }
+      return out;
+    };
+    for (DiffMode mode : {DiffMode::kByKey, DiffMode::kByContent}) {
+      const char* name = mode == DiffMode::kByKey ? "by key" : "by content";
+      Oracle::Table pos, neg;
+      ASSERT_OK(db->Diff(
+          a, b, mode, [&](const RecordRef& r) { pos[r.pk()] = r.GetInt32(1); },
+          [&](const RecordRef& r) { neg[r.pk()] = r.GetInt32(1); }));
+      const Oracle::Table expected_pos = expected(ta, tb, mode);
+      EXPECT_EQ(pos, expected_pos)
+          << "diff(" << a << "," << b << ") pos " << name;
+      EXPECT_EQ(neg, expected(tb, ta, mode))
+          << "diff(" << a << "," << b << ") neg " << name;
+
+      // The kDiff view: the positive side, filtered, then cut at a limit
+      // (which rows survive the cut is engine order; how many is not).
+      Oracle::Table filtered;
+      for (const auto& [k, v] : expected_pos) {
+        if (v >= threshold) filtered[k] = v;
+      }
+      auto all = db->NewScan(ScanSpec::Diff(a, b, mode).Where(*above));
+      ASSERT_TRUE(all.ok()) << all.status().ToString();
+      EXPECT_EQ(testing_util::Collect(all.value().get()), filtered)
+          << "diff view(" << a << "," << b << ") " << name;
+      constexpr uint64_t kLimit = 3;
+      auto cut = db->NewScan(
+          ScanSpec::Diff(a, b, mode).Where(*above).WithLimit(kLimit));
+      ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+      const Oracle::Table rows = testing_util::Collect(cut.value().get());
+      EXPECT_EQ(rows.size(), std::min<size_t>(kLimit, filtered.size()))
+          << "limited diff view(" << a << "," << b << ") " << name;
+      for (const auto& [k, v] : rows) {
+        auto it = filtered.find(k);
+        EXPECT_TRUE(it != filtered.end() && it->second == v)
+            << "limited diff view(" << a << "," << b << ") " << name
+            << " returned pk " << k;
+      }
     }
-    for (const auto& [k, v] : oracle.branches[b]) {
-      if (oracle.branches[a].count(k) == 0) expected_neg.insert(k);
-    }
-    EXPECT_EQ(pos, expected_pos) << "diff(" << a << "," << b << ") pos";
-    EXPECT_EQ(neg, expected_neg) << "diff(" << a << "," << b << ") neg";
   }
 
   // Multi-branch scan annotations must match per-branch membership.

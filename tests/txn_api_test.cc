@@ -154,11 +154,6 @@ TEST_P(TxnApiTest, LockTimeoutIsRetryable) {
 }
 
 TEST_P(TxnApiTest, DeleteOfAbsentKeyIsAllOrNothing) {
-  if (GetParam() == EngineType::kVersionFirst) {
-    // Version-first deletes are blind tombstone appends (§3.3): there is
-    // no pk index to validate against, so nothing to test here.
-    GTEST_SKIP();
-  }
   ASSERT_OK(db_->InsertInto(kMasterBranch, MakeRecord(schema_, 1, 1)));
 
   ASSERT_OK_AND_ASSIGN(Transaction txn, db_->Begin(kMasterBranch));
