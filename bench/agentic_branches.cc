@@ -9,11 +9,12 @@
 ///   tcp     each agent owns a net::Client against an in-process
 ///           decibel::net::Server (real sockets, real framing)
 ///
-/// Each result line is one JSON object:
+/// Each result line is one JSON object, e.g. the committed
+/// bench_results/BENCH_agentic_branches.json's inproc line:
 ///
-///   {"mode": "tcp", "agents": 8, "cycles": 1120, "records_per_cycle": 8,
-///    "merged": 840, "abandoned": 280, "seconds": 4.2,
-///    "cycles_per_sec": 266.7, "p50_ms": 27.1, "p99_ms": 63.9}
+///   {"mode": "inproc", "agents": 8, "cycles": 1008, "records_per_cycle": 8,
+///    "merged": 756, "abandoned": 252, "seconds": 99.2255,
+///    "cycles_per_sec": 10.2, "p50_ms": 663.99, "p99_ms": 2358.26}
 ///
 /// The bench is also a leak check and fails hard (exit 1) unless:
 ///   - at least 1000 full cycles completed per mode, and

@@ -976,6 +976,10 @@ DecibelStats Decibel::Stats() const {
 // ------------------------------------------------------------------ queries
 
 Result<std::unique_ptr<ScanCursor>> Decibel::NewScan(ScanSpec spec) {
+  if (spec.view == ScanView::kDiff) {
+    // Q2 over the engine's DiffWalk; the engines serve no diff view.
+    return MakeDiffScanCursor(engine_.get(), spec);
+  }
   if (spec.view == ScanView::kHeads) {
     // Resolve "all active branch heads" against the version graph; the
     // engines only understand explicit branch lists.

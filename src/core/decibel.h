@@ -344,7 +344,9 @@ class Decibel {
   //   while (cursor->Next(&row)) { ... row.record ... }
 
   /// Serves \p spec. A ScanView::kHeads spec is resolved to the active
-  /// branch heads (Table 1 query 4) before reaching the engine.
+  /// branch heads (Table 1 query 4) before reaching the engine; a
+  /// ScanView::kDiff spec (Table 1 query 2) is served here over the
+  /// engine's DiffWalk (MakeDiffScanCursor).
   Result<std::unique_ptr<ScanCursor>> NewScan(ScanSpec spec);
 
   /// Serves the session's current view: the branch head, or — when the

@@ -8,12 +8,14 @@
 
 namespace decibel {
 
-Result<std::unique_ptr<ScanCursor>> MakeDiffScanCursor(
-    StorageEngine* engine, const ScanSpec& spec, ScanCounters* counters) {
+Result<std::unique_ptr<ScanCursor>> MakeDiffScanCursor(StorageEngine* engine,
+                                                       const ScanSpec& spec) {
   const Schema& schema = engine->schema();
+  DECIBEL_RETURN_NOT_OK(ValidateScanColumns(spec, schema));
   const PreparedPredicate prepared(spec.predicate, schema);
   const uint32_t row_bytes = ProjectedRowBytes(schema, spec.projection);
-  auto cursor = std::make_unique<BufferedCursor>(&schema, counters);
+  auto cursor =
+      std::make_unique<BufferedCursor>(&schema, engine->scan_counters());
   ScanStats* stats = cursor->mutable_stats();
   DECIBEL_RETURN_NOT_OK(DiffHeads(
       engine, spec.branch, spec.diff_base, spec.diff_mode,
@@ -26,6 +28,14 @@ Result<std::unique_ptr<ScanCursor>> MakeDiffScanCursor(
       },
       /*neg=*/nullptr, stats));
   return std::unique_ptr<ScanCursor>(std::move(cursor));
+}
+
+void StorageEngine::CopyScanCounters(EngineStats* stats) const {
+  stats->rows_scanned = scan_counters_.rows();
+  stats->bytes_scanned = scan_counters_.bytes();
+  stats->bytes_read = scan_counters_.bytes_read();
+  stats->segments_skipped = scan_counters_.segments_skipped();
+  stats->pages_skipped = scan_counters_.pages_skipped();
 }
 
 void PutEngineMetaHeader(std::string* meta) {

@@ -15,10 +15,11 @@
 /// bytes.
 ///
 /// Reads go through one composable surface: NewScan(ScanSpec) returns a
-/// ScanCursor over a branch head, a commit, several heads at once, or a
-/// positive diff, with predicate/projection/limit pushed into the engine
-/// scan loops (scan_spec.h); Get(branch, pk) is the point lookup the pk
-/// index makes O(1) in the bitmap engines.
+/// ScanCursor over a branch head, a commit, or several heads at once,
+/// with predicate/projection/limit pushed into the engine scan loops
+/// (scan_spec.h; the facade serves the positive-diff view over DiffWalk);
+/// Get(branch, pk) is the point lookup the pk index makes O(1) in the
+/// bitmap engines.
 
 #include <cstdint>
 #include <functional>
@@ -166,9 +167,10 @@ class StorageEngine {
   // -------------------------------------------------------------- queries
 
   /// The one read entry point: serves the spec's view (branch head,
-  /// commit, multi-branch, positive diff) with the predicate, projection
-  /// and limit evaluated inside the engine's scan machinery. Rejects
-  /// ScanView::kHeads (the facade resolves it to kMulti first).
+  /// commit, multi-branch) with the predicate, projection and limit
+  /// evaluated inside the engine's scan machinery. Rejects ScanView::kHeads
+  /// and kDiff: the facade resolves kHeads to kMulti and serves kDiff
+  /// itself over DiffWalk (MakeDiffScanCursor).
   virtual Result<std::unique_ptr<ScanCursor>> NewScan(
       const ScanSpec& spec) = 0;
 
@@ -227,6 +229,18 @@ class StorageEngine {
   /// equivalent for our own caches).
   virtual void DropCaches() = 0;
   virtual EngineStats Stats() const = 0;
+
+  /// Lifetime scan-work totals: every cursor over this engine — the
+  /// facade's diff view included — flushes its ScanStats here when it
+  /// dies (surfaced through Stats()).
+  ScanCounters* scan_counters() const { return &scan_counters_; }
+
+ protected:
+  /// Copies the scan counters into \p stats (for Stats()).
+  void CopyScanCounters(EngineStats* stats) const;
+
+ private:
+  mutable ScanCounters scan_counters_;
 };
 
 /// Validates the deletes of \p batch against a branch's current key set

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
-#include <optional>
 
 #include "common/coding.h"
 #include "common/thread_pool.h"
-#include "engine/bitmap_scan.h"
 #include "engine/scan_util.h"
 
 namespace decibel {
@@ -561,91 +559,29 @@ Status HybridEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
 
 // ------------------------------------------------------------------ queries
 
-/// Streaming cursor chaining bitmap scans across scan parts. Owns the
-/// bitmaps. The pushed-down predicate runs on the in-page record bytes
-/// before the per-branch membership probes of multi views.
-class HybridEngine::PartsCursor : public ScanCursor {
- public:
-  PartsCursor(const HybridEngine* engine, std::vector<ScanPart> parts,
-              uint64_t segments_skipped, std::vector<BranchId> branch_list,
-              const ScanSpec& spec)
-      : engine_(engine),
-        parts_(std::move(parts)),
-        branch_list_(std::move(branch_list)),
-        prepared_(spec.predicate, engine->schema_),
-        limit_(spec.limit),
-        row_bytes_(ProjectedRowBytes(engine->schema_, spec.projection)) {
-    stats_.segments_skipped = segments_skipped;
-  }
-  ~PartsCursor() override { engine_->scan_counters_.Add(stats_); }
-
-  bool Next(ScanRow* out) override {
-    if (limit_ != 0 && stats_.rows_emitted >= limit_) return false;
-    for (;;) {
-      if (!scanner_.has_value()) {
-        if (next_part_ >= parts_.size()) return false;
-        scanner_.emplace(parts_[next_part_].file, &engine_->schema_,
-                         &parts_[next_part_].unioned);
-        scanner_->EnablePruning(&prepared_, &stats_);
-      }
-      RecordRef rec;
-      uint64_t idx;
-      if (!scanner_->Next(&rec, &idx)) {
-        if (!scanner_->status().ok()) {
-          status_ = scanner_->status();
-          return false;
-        }
-        scanner_.reset();
-        ++next_part_;
-        continue;
-      }
-      ++stats_.rows_scanned;
-      stats_.bytes_scanned += row_bytes_;
-      if (!prepared_.Matches(rec.data().data())) continue;
-      const ScanPart& part = parts_[next_part_];
-      if (!part.cols.empty()) {
-        present_.clear();
-        for (uint32_t i = 0; i < part.cols.size(); ++i) {
-          if (part.cols[i].Test(idx)) present_.push_back(i);
-        }
-        out->branches = &present_;
-      } else {
-        out->branches = nullptr;
-      }
-      out->record = rec;
-      ++stats_.rows_emitted;
-      return true;
-    }
-  }
-
-  const Status& status() const override { return status_; }
-  const ScanStats& stats() const override { return stats_; }
-  const std::vector<BranchId>& branches() const override {
-    return branch_list_;
-  }
-
- private:
-  const HybridEngine* engine_;
-  std::vector<ScanPart> parts_;
-  std::vector<BranchId> branch_list_;
-  PreparedPredicate prepared_;
-  uint64_t limit_;
-  uint32_t row_bytes_;
-  size_t next_part_ = 0;
-  std::optional<BitmapScanner> scanner_;
-  std::vector<uint32_t> present_;
-  ScanStats stats_;
-  Status status_;
-};
-
-Result<std::vector<HybridEngine::ScanPart>> HybridEngine::BuildScanParts(
+Result<std::vector<BitmapPart>> HybridEngine::BuildScanParts(
     const ScanSpec& spec, uint64_t* segments_skipped) {
   // Live-branch views materialize their bitmap copies under the branch's
   // stripe lock, so a snapshot always lands on a batch boundary; every
-  // part also captures its segment's file pointer so the cursor streams
-  // without re-reading segments_.
+  // part also maps its segment's file, so the cursor streams without
+  // re-reading segments_.
   std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  std::vector<ScanPart> parts;
+  // Whole-segment skipping off the file-level zone (§3.4's segment index
+  // extended with statistics): a segment whose zone rules the predicate
+  // out cannot contribute a matching row, whatever the bitmaps selected.
+  // File zones only grow, and the part's bitmaps are already
+  // materialized, so the test is sound here.
+  const PreparedPredicate prepared(spec.predicate, schema_);
+  std::vector<BitmapPart> parts;
+  auto add = [&](uint64_t seg, Bitmap bits, std::vector<Bitmap> cols) {
+    HeapFile* file = segments_[seg]->file.get();
+    if (!prepared.empty() && !file->FileMayMatch(prepared)) {
+      ++*segments_skipped;
+      return;
+    }
+    parts.push_back(
+        {RecordMap::OfFile(file), std::move(bits), std::move(cols)});
+  };
   switch (spec.view) {
     case ScanView::kBranch: {
       if (head_seg_.count(spec.branch) == 0) {
@@ -657,24 +593,14 @@ Result<std::vector<HybridEngine::ScanPart>> HybridEngine::BuildScanParts(
       std::lock_guard<std::mutex> stripe_lock(
           stripes_.ForBranch(spec.branch));
       for (uint32_t seg : SegmentsOf(spec.branch)) {
-        ScanPart part;
-        part.seg = seg;
-        part.file = segments_[seg]->file.get();
-        part.unioned = segments_[seg]->local.MaterializeBranch(spec.branch);
-        parts.push_back(std::move(part));
+        add(seg, segments_[seg]->local.MaterializeBranch(spec.branch), {});
       }
       break;
     }
     case ScanView::kCommit: {
       std::vector<std::pair<uint32_t, Bitmap>> columns;
       DECIBEL_RETURN_NOT_OK(CommitColumns(spec.commit, &columns));
-      for (auto& [seg, bits] : columns) {
-        ScanPart part;
-        part.seg = seg;
-        part.file = segments_[seg]->file.get();
-        part.unioned = std::move(bits);
-        parts.push_back(std::move(part));
-      }
+      for (auto& [seg, bits] : columns) add(seg, std::move(bits), {});
       break;
     }
     case ScanView::kMulti: {
@@ -687,45 +613,25 @@ Result<std::vector<HybridEngine::ScanPart>> HybridEngine::BuildScanParts(
         if (it != branch_segments_.end()) segs.OrWith(it->second);
       }
       segs.ForEachSet([&](uint64_t seg) {
-        ScanPart part;
-        part.seg = static_cast<uint32_t>(seg);
-        part.file = segments_[seg]->file.get();
-        part.cols.resize(spec.branches.size());
-        for (size_t i = 0; i < spec.branches.size(); ++i) {
-          part.cols[i] =
-              segments_[seg]->local.MaterializeBranch(spec.branches[i]);
-          part.unioned.OrWith(part.cols[i]);
+        Bitmap bits;
+        std::vector<Bitmap> cols;
+        cols.reserve(spec.branches.size());
+        for (BranchId b : spec.branches) {
+          cols.push_back(segments_[seg]->local.MaterializeBranch(b));
+          bits.OrWith(cols.back());
         }
-        parts.push_back(std::move(part));
+        add(seg, std::move(bits), std::move(cols));
       });
       break;
     }
     default:
       return Status::InvalidArgument("hybrid: unsupported scan view");
   }
-  // Whole-segment skipping off the file-level zone (§3.4's segment index
-  // extended with statistics): a segment whose zone rules the predicate
-  // out cannot contribute a matching row, whatever the bitmaps selected.
-  // File zones only grow (they are supersets of any earlier snapshot the
-  // bitmaps were built against), so the test is safe lock-free here.
-  if (!spec.predicate.empty()) {
-    const PreparedPredicate prepared(spec.predicate, schema_);
-    std::vector<ScanPart> kept;
-    kept.reserve(parts.size());
-    for (ScanPart& part : parts) {
-      if (part.file->FileMayMatch(prepared)) {
-        kept.push_back(std::move(part));
-      } else if (segments_skipped != nullptr) {
-        ++*segments_skipped;
-      }
-    }
-    parts = std::move(kept);
-  }
   return parts;
 }
 
 Result<std::unique_ptr<ScanCursor>> HybridEngine::ParallelScan(
-    std::vector<ScanPart> parts, uint64_t segments_skipped,
+    std::vector<BitmapPart> parts, uint64_t segments_skipped,
     const ScanSpec& spec, int threads) {
   // §3.4: the branch-segment bitmap "allows for parallelization of
   // segment scanning". Workers filter and project inside the scan, so
@@ -741,43 +647,34 @@ Result<std::unique_ptr<ScanCursor>> HybridEngine::ParallelScan(
     Status status;
   };
   std::vector<PartResult> results(parts.size());
-  const PreparedPredicate prepared(spec.predicate, schema_);
-  const uint32_t row_bytes = ProjectedRowBytes(schema_, spec.projection);
   {
     ThreadPool pool(static_cast<size_t>(threads));
     for (size_t p = 0; p < parts.size(); ++p) {
       pool.Submit([&, p] {
-        const ScanPart& part = parts[p];
+        // Each worker runs the one bitmap cursor over its part, stopping
+        // at the global limit: the merge below takes at most spec.limit
+        // rows in total, so copies past it in any one part can never be
+        // emitted. Its stats reach the counters through the merged cursor.
+        std::vector<BitmapPart> one;
+        one.push_back(std::move(parts[p]));
+        const std::unique_ptr<ScanCursor> scan = MakeBitmapCursor(
+            &schema_, std::move(one), spec, 0, /*counters=*/nullptr);
         PartResult& result = results[p];
-        BitmapScanner scanner(part.file, &schema_, &part.unioned);
-        scanner.EnablePruning(&prepared, &result.stats);
-        RecordRef rec;
-        uint64_t idx;
-        std::vector<uint32_t> present;
-        while (scanner.Next(&rec, &idx)) {
-          // Each worker can stop at the global limit: the merge below
-          // takes at most spec.limit rows total, so copies past it in
-          // any one part can never be emitted.
-          if (spec.limit != 0 && result.rows.size() >= spec.limit) break;
-          ++result.stats.rows_scanned;
-          result.stats.bytes_scanned += row_bytes;
-          if (!prepared.Matches(rec.data().data())) continue;
+        ScanRow row;
+        while (scan->Next(&row)) {
           result.rows.push_back(
-              ProjectRecordCopy(schema_, rec.data(), spec.projection));
-          if (!part.cols.empty()) {
-            present.clear();
-            for (uint32_t i = 0; i < part.cols.size(); ++i) {
-              if (part.cols[i].Test(idx)) present.push_back(i);
-            }
-            result.annotations.push_back(present);
+              ProjectRecordCopy(schema_, row.record.data(), spec.projection));
+          if (row.branches != nullptr) {
+            result.annotations.push_back(*row.branches);
           }
         }
-        result.status = scanner.status();
+        result.stats = scan->stats();
+        result.status = scan->status();
       });
     }
     pool.Wait();
   }
-  auto cursor = std::make_unique<BufferedCursor>(&schema_, &scan_counters_);
+  auto cursor = std::make_unique<BufferedCursor>(&schema_, scan_counters());
   *cursor->mutable_branch_list() = spec.branches;
   ScanStats* stats = cursor->mutable_stats();
   stats->segments_skipped = segments_skipped;
@@ -806,22 +703,16 @@ Result<std::unique_ptr<ScanCursor>> HybridEngine::ParallelScan(
 Result<std::unique_ptr<ScanCursor>> HybridEngine::NewScan(
     const ScanSpec& spec) {
   DECIBEL_RETURN_NOT_OK(ValidateScanSpec(spec, schema_));
-  if (spec.view == ScanView::kDiff) {
-    return MakeDiffScanCursor(this, spec, &scan_counters_);
-  }
   uint64_t segments_skipped = 0;
-  DECIBEL_ASSIGN_OR_RETURN(std::vector<ScanPart> parts,
+  DECIBEL_ASSIGN_OR_RETURN(std::vector<BitmapPart> parts,
                            BuildScanParts(spec, &segments_skipped));
   const int threads =
       spec.parallelism != 0 ? spec.parallelism : options_.scan_threads;
   if (threads > 1 && parts.size() > 1) {
     return ParallelScan(std::move(parts), segments_skipped, spec, threads);
   }
-  std::vector<BranchId> branch_list =
-      spec.view == ScanView::kMulti ? spec.branches : std::vector<BranchId>();
-  return std::unique_ptr<ScanCursor>(
-      new PartsCursor(this, std::move(parts), segments_skipped,
-                      std::move(branch_list), spec));
+  return MakeBitmapCursor(&schema_, std::move(parts), spec, segments_skipped,
+                          scan_counters());
 }
 
 Result<Record> HybridEngine::Get(BranchId branch, int64_t pk) {
@@ -852,13 +743,9 @@ Status HybridEngine::DiffWalk(BranchId a, BranchId b,
   // The tuple-first XOR per segment: materialize both sides' per-segment
   // deltas under the two branches' stripes (ascending order via
   // MultiGuard), then scan the snapshot once with the stripes released.
+  // Segments whose delta is empty are dropped.
   std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  struct SegDelta {
-    HeapFile* file = nullptr;
-    Bitmap in_a;
-    Bitmap delta;
-  };
-  std::vector<SegDelta> seg_deltas;
+  std::vector<BitmapDiffPart> parts;
   {
     StripeLocks::MultiGuard stripe_locks(stripes_, {a, b});
     Bitmap segs;
@@ -867,23 +754,16 @@ Status HybridEngine::DiffWalk(BranchId a, BranchId b,
       if (it != branch_segments_.end()) segs.OrWith(it->second);
     }
     segs.ForEachSet([&](uint64_t seg) {
-      SegDelta d;
-      d.file = segments_[seg]->file.get();
-      d.in_a = segments_[seg]->local.MaterializeBranch(a);
-      d.delta = Bitmap::Xor(d.in_a, segments_[seg]->local.MaterializeBranch(b));
-      if (d.delta.Any()) seg_deltas.push_back(std::move(d));
+      BitmapDiffPart part;
+      part.in_a = segments_[seg]->local.MaterializeBranch(a);
+      part.delta =
+          Bitmap::Xor(part.in_a, segments_[seg]->local.MaterializeBranch(b));
+      if (!part.delta.Any()) return;
+      part.map = RecordMap::OfFile(segments_[seg]->file.get());
+      parts.push_back(std::move(part));
     });
   }
-
-  for (const SegDelta& d : seg_deltas) {
-    BitmapScanner scanner(d.file, &schema_, &d.delta);
-    scanner.EnablePruning(/*predicate=*/nullptr, stats);
-    RecordRef rec;
-    uint64_t idx;
-    while (scanner.Next(&rec, &idx)) cb(rec, d.in_a.Test(idx));
-    DECIBEL_RETURN_NOT_OK(scanner.status());
-  }
-  return Status::OK();
+  return BitmapDiffWalk(&schema_, parts, cb, stats);
 }
 
 // -------------------------------------------------------------------- merge
@@ -891,120 +771,31 @@ Status HybridEngine::DiffWalk(BranchId a, BranchId b,
 Status HybridEngine::MergeWalk(CommitId left, CommitId right, CommitId base,
                                const MergeWalkCallback& cb,
                                MergeWalkStats* stats) {
-  // The tuple-first mask algebra run per segment (§3.4): for each segment
-  // any of the three commits has columns in, (L⊕B)|(R⊕B) over the local
-  // bitmaps covers every live location of every changed key — a commit
-  // carries one live location per key *globally* (the pk index invariant),
-  // so a key with a location outside every segment's mask has the same
-  // location in all three commits and never changed. Columns come from
-  // the (branch, segment) commit histories; the history files and record
+  // The tuple-first mask algebra run per segment (§3.4): one part per
+  // segment any of the three commits has columns in. A commit carries
+  // one live location per key *globally* (the pk index invariant), which
+  // is what BitmapMergeWalk needs across parts. Columns come from the
+  // (branch, segment) commit histories; the history files and record
   // pages are internally synchronized and commit snapshots are immutable,
   // so the walk holds the registry shared only to address segments_.
   std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  const uint32_t rs = schema_.record_size();
-
-  std::unordered_map<uint32_t, Bitmap> cols_l, cols_r, cols_b;
-  auto load = [&](CommitId commit,
-                  std::unordered_map<uint32_t, Bitmap>* out) -> Status {
+  const std::pair<CommitId, Bitmap BitmapMergePart::*> sides[] = {
+      {left, &BitmapMergePart::left},
+      {right, &BitmapMergePart::right},
+      {base, &BitmapMergePart::base}};
+  std::map<uint32_t, BitmapMergePart> by_seg;
+  for (const auto& [commit, side] : sides) {
     std::vector<std::pair<uint32_t, Bitmap>> cols;
     DECIBEL_RETURN_NOT_OK(CommitColumns(commit, &cols));
-    for (auto& [seg, bits] : cols) (*out)[seg] = std::move(bits);
-    return Status::OK();
-  };
-  DECIBEL_RETURN_NOT_OK(load(left, &cols_l));
-  DECIBEL_RETURN_NOT_OK(load(right, &cols_r));
-  DECIBEL_RETURN_NOT_OK(load(base, &cols_b));
-
-  std::unordered_set<uint32_t> seg_set;
-  for (const auto* cols : {&cols_l, &cols_r, &cols_b}) {
-    for (const auto& [seg, bits] : *cols) seg_set.insert(seg);
+    for (auto& [seg, bits] : cols) by_seg[seg].*side = std::move(bits);
   }
-
-  constexpr uint64_t kAbsentSeg = ~uint64_t{0};
-  struct Positions {
-    Loc l{0, 0}, r{0, 0}, b{0, 0};
-    uint64_t l_seg = kAbsentSeg, r_seg = kAbsentSeg, b_seg = kAbsentSeg;
-  };
-  std::map<int64_t, Positions> keys;
-
-  static const Bitmap kEmpty;
-  for (uint32_t seg : seg_set) {
-    auto view = [&](const std::unordered_map<uint32_t, Bitmap>& cols)
-        -> const Bitmap& {
-      auto it = cols.find(seg);
-      return it == cols.end() ? kEmpty : it->second;
-    };
-    const Bitmap& bits_l = view(cols_l);
-    const Bitmap& bits_r = view(cols_r);
-    const Bitmap& bits_b = view(cols_b);
-    const Bitmap mask =
-        Bitmap::Or(Bitmap::Xor(bits_l, bits_b), Bitmap::Xor(bits_r, bits_b));
-    if (!mask.Any()) continue;  // segment untouched between the commits
-
-    BitmapScanner scanner(segments_[seg]->file.get(), &schema_, &mask);
-    RecordRef rec;
-    uint64_t idx;
-    while (scanner.Next(&rec, &idx)) {
-      Positions& p = keys[rec.pk()];
-      if (bits_l.Test(idx)) {
-        p.l = Loc{seg, idx};
-        p.l_seg = seg;
-      }
-      if (bits_r.Test(idx)) {
-        p.r = Loc{seg, idx};
-        p.r_seg = seg;
-      }
-      if (bits_b.Test(idx)) {
-        p.b = Loc{seg, idx};
-        p.b_seg = seg;
-      }
-      stats->bytes_processed += rs;
-    }
-    DECIBEL_RETURN_NOT_OK(scanner.status());
+  std::vector<BitmapMergePart> parts;
+  parts.reserve(by_seg.size());
+  for (auto& [seg, part] : by_seg) {
+    part.map = RecordMap::OfFile(segments_[seg]->file.get());
+    parts.push_back(std::move(part));
   }
-
-  auto fetch = [&](Loc loc, std::string* buf) {
-    stats->bytes_processed += rs;
-    return segments_[loc.seg]->file->Get(loc.idx, buf);
-  };
-  auto same = [](uint64_t a_seg, Loc a, uint64_t b_seg, Loc b) {
-    return a_seg != kAbsentSeg && b_seg != kAbsentSeg && a.seg == b.seg &&
-           a.idx == b.idx;
-  };
-  std::string buf_l, buf_r, buf_b;
-  for (const auto& [pk, pos] : keys) {
-    MergeWalkItem item;
-    item.pk = pk;
-    std::optional<RecordRef> ref_l, ref_r, ref_b;
-    if (pos.l_seg != kAbsentSeg) {
-      DECIBEL_RETURN_NOT_OK(fetch(pos.l, &buf_l));
-      ref_l.emplace(&schema_, Slice(buf_l));
-      item.left = &*ref_l;
-    }
-    if (pos.r_seg != kAbsentSeg) {
-      if (same(pos.r_seg, pos.r, pos.l_seg, pos.l)) {
-        item.right = item.left;
-      } else {
-        DECIBEL_RETURN_NOT_OK(fetch(pos.r, &buf_r));
-        ref_r.emplace(&schema_, Slice(buf_r));
-        item.right = &*ref_r;
-      }
-    }
-    if (pos.b_seg != kAbsentSeg) {
-      if (same(pos.b_seg, pos.b, pos.l_seg, pos.l)) {
-        item.base = item.left;
-      } else if (same(pos.b_seg, pos.b, pos.r_seg, pos.r)) {
-        item.base = item.right;
-      } else {
-        DECIBEL_RETURN_NOT_OK(fetch(pos.b, &buf_b));
-        ref_b.emplace(&schema_, Slice(buf_b));
-        item.base = &*ref_b;
-      }
-    }
-    ++stats->keys_emitted;
-    DECIBEL_RETURN_NOT_OK(cb(item));
-  }
-  return Status::OK();
+  return BitmapMergeWalk(&schema_, parts, cb, stats);
 }
 
 // -------------------------------------------------------------------- stats
@@ -1034,11 +825,7 @@ EngineStats HybridEngine::Stats() const {
     }
   }
   stats.num_segments = segments_.size();
-  stats.rows_scanned = scan_counters_.rows();
-  stats.bytes_scanned = scan_counters_.bytes();
-  stats.bytes_read = scan_counters_.bytes_read();
-  stats.segments_skipped = scan_counters_.segments_skipped();
-  stats.pages_skipped = scan_counters_.pages_skipped();
+  CopyScanCounters(&stats);
   stats.pool = pool_.stats();
   return stats;
 }

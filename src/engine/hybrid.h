@@ -11,6 +11,12 @@
 /// segments entirely (and may scan segments in parallel); diffs and merges
 /// run the tuple-first bitmap algorithms per segment.
 ///
+/// Those algorithms are literally tuple-first's: the engine builds one
+/// part per segment (its local bitmaps plus RecordMap::OfFile of its
+/// file) and hands the parts to the bitmap read core
+/// (engine/bitmap_scan.h) — the same scanner, cursor, diff walk and merge
+/// walk tuple-first runs over its single part.
+///
 /// Segments are either *head* segments (the working tail of one branch)
 /// or *internal* segments (frozen at the first branch taken from them).
 ///
@@ -23,7 +29,7 @@
 /// indexes' column sets; writers take it shared, CreateBranch/Flush
 /// take it unique) -> stripe locks (branch % write_stripes) ->
 /// commit_mu_ (the commit registries, a leaf). Scans materialize bitmap
-/// copies under the stripe lock, capture per-segment file pointers, and
+/// copies under the stripe lock, map each segment's file after that, and
 /// stream without any lock.
 
 #include <memory>
@@ -35,6 +41,7 @@
 
 #include "bitmap/commit_history.h"
 #include "common/stripe_lock.h"
+#include "engine/bitmap_scan.h"
 #include "engine/engine.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
@@ -128,9 +135,6 @@ class HybridEngine : public StorageEngine {
   Schema schema_;
   EngineOptions options_;
   BufferPool pool_;
-  /// Lifetime scan-work totals (EngineStats::rows_scanned/bytes_scanned);
-  /// mutable so cursors over a const engine can flush into it.
-  mutable ScanCounters scan_counters_;
 
   /// Shape of segments_, the branch maps, and the local indexes' column
   /// sets: writers take it shared, CreateBranch/Flush take it
@@ -155,30 +159,16 @@ class HybridEngine : public StorageEngine {
   std::unordered_map<BranchId, std::unordered_set<uint32_t>> dirty_;
   std::unordered_map<CommitId, BranchId> commit_branch_;
 
-  /// One unit of a segmented scan: a segment plus the bitmap(s) selecting
-  /// its rows (cols carries per-requested-branch columns for multi views).
-  /// The file pointer is captured under the registry lock at open so
-  /// cursors stream without re-reading segments_ (Segment objects are
-  /// stable; only the vector itself reallocates as branches appear).
-  struct ScanPart {
-    uint32_t seg = 0;
-    HeapFile* file = nullptr;
-    Bitmap unioned;
-    std::vector<Bitmap> cols;
-  };
-
-  /// Builds the scan units for \p spec's view, dropping segments whose
-  /// file-level zone map rules out the predicate entirely (each drop adds
-  /// one to *\p segments_skipped). Sound because the local bitmaps
-  /// resolve visibility — a dropped segment's selected rows could only
-  /// ever have failed the predicate.
-  Result<std::vector<ScanPart>> BuildScanParts(const ScanSpec& spec,
-                                               uint64_t* segments_skipped);
+  /// Builds one BitmapPart per segment \p spec's view reads, dropping
+  /// segments whose file-level zone map rules out the predicate entirely
+  /// (each drop adds one to *\p segments_skipped). Sound because the
+  /// local bitmaps resolve visibility — a dropped segment's selected rows
+  /// could only ever have failed the predicate.
+  Result<std::vector<BitmapPart>> BuildScanParts(const ScanSpec& spec,
+                                                 uint64_t* segments_skipped);
   Result<std::unique_ptr<ScanCursor>> ParallelScan(
-      std::vector<ScanPart> parts, uint64_t segments_skipped,
+      std::vector<BitmapPart> parts, uint64_t segments_skipped,
       const ScanSpec& spec, int threads);
-
-  class PartsCursor;
 };
 
 }  // namespace decibel

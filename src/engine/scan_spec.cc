@@ -31,9 +31,18 @@ Status ValidateScanSpec(const ScanSpec& spec, const Schema& schema) {
         "scan: kHeads must be resolved by Decibel::NewScan (engines need "
         "an explicit branch list)");
   }
+  if (spec.view == ScanView::kDiff) {
+    return Status::InvalidArgument(
+        "scan: kDiff is served by Decibel::NewScan (over the engine's "
+        "DiffWalk), not by engines");
+  }
   if (spec.view == ScanView::kMulti && spec.branches.empty()) {
     return Status::InvalidArgument("scan: multi-branch view needs branches");
   }
+  return ValidateScanColumns(spec, schema);
+}
+
+Status ValidateScanColumns(const ScanSpec& spec, const Schema& schema) {
   for (size_t col : spec.projection) {
     if (col >= schema.num_columns()) {
       return Status::InvalidArgument("scan: projection column " +

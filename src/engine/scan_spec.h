@@ -19,7 +19,7 @@
 /// view* it examined (after version resolution, before the predicate),
 /// and their projected bytes. Engines also accumulate these lifetime
 /// totals into EngineStats::rows_scanned / bytes_scanned via the
-/// ScanCounters they embed.
+/// ScanCounters every StorageEngine holds.
 
 #include <atomic>
 #include <cstdint>
@@ -150,9 +150,14 @@ Result<std::vector<size_t>> ResolveProjection(
     const Schema& schema, const std::vector<std::string>& columns);
 
 /// Rejects specs no engine can serve: unknown projection or predicate
-/// columns, a kMulti view with no branches, a kHeads view (engines need
-/// the facade to resolve the branch list).
+/// columns, a kMulti view with no branches, and the facade's views —
+/// kHeads (engines need the facade to resolve the branch list) and kDiff
+/// (the facade serves it over DiffWalk).
 Status ValidateScanSpec(const ScanSpec& spec, const Schema& schema);
+
+/// The column checks of ValidateScanSpec alone: every projection and
+/// predicate column exists in \p schema.
+Status ValidateScanColumns(const ScanSpec& spec, const Schema& schema);
 
 /// Bytes a scan charges per examined row: the full record when
 /// \p projection is empty, otherwise header byte + projected widths.
@@ -206,7 +211,7 @@ class ScanCursor {
   virtual const std::vector<BranchId>& branches() const;
 };
 
-/// Lifetime scan-work totals an engine embeds; cursors flush their
+/// Lifetime scan-work totals a StorageEngine holds; cursors flush their
 /// ScanStats here on destruction (surfaced as EngineStats::rows_scanned
 /// / bytes_scanned).
 class ScanCounters {

@@ -96,9 +96,10 @@ class BufferedCursor : public ScanCursor {
 /// Serves a kDiff ScanSpec through DiffHeads over the engine's DiffWalk:
 /// runs the positive diff eagerly, applying the pushed-down predicate
 /// before each row is copied into the buffer and stopping the copies at
-/// spec.limit. All three engines dispatch their kDiff views here.
-Result<std::unique_ptr<ScanCursor>> MakeDiffScanCursor(
-    StorageEngine* engine, const ScanSpec& spec, ScanCounters* counters);
+/// spec.limit. Decibel::NewScan serves its kDiff views here; the work
+/// counts in the engine's scan counters.
+Result<std::unique_ptr<ScanCursor>> MakeDiffScanCursor(StorageEngine* engine,
+                                                       const ScanSpec& spec);
 
 }  // namespace decibel
 

@@ -1,87 +1,9 @@
 #include "engine/tuple_first.h"
 
-#include <map>
-
 #include "common/coding.h"
-#include "engine/scan_util.h"
+#include "engine/bitmap_scan.h"
 
 namespace decibel {
-
-namespace {
-
-/// Streaming cursor over one materialized bitmap view of the striped heap.
-/// For multi-branch views `cols` holds the requested branches' columns and
-/// `bits` their union; the predicate is evaluated on the raw in-page
-/// record bytes *before* the per-branch membership annotation, so
-/// predicate-failing tuples cost one comparison and no bitmap probes.
-///
-/// The cursor owns its bitmap snapshot and extent-mapping snapshot, so it
-/// never touches engine state after construction: scans stream lock-free
-/// and never observe a half-applied batch.
-class TupleFirstCursor : public ScanCursor {
- public:
-  TupleFirstCursor(StripedHeap::Mapping mapping, const Schema* schema,
-                   Bitmap bits, std::vector<Bitmap> cols,
-                   std::vector<BranchId> branch_list, const ScanSpec& spec,
-                   ScanCounters* counters)
-      : bits_(std::move(bits)),
-        cols_(std::move(cols)),
-        branch_list_(std::move(branch_list)),
-        scanner_(std::move(mapping), schema, &bits_),
-        prepared_(spec.predicate, *schema),
-        limit_(spec.limit),
-        row_bytes_(ProjectedRowBytes(*schema, spec.projection)),
-        counters_(counters) {
-    // The bitmap already resolved visibility, so zone-map page skipping
-    // is always sound here (see StripedBitmapScanner::EnablePruning).
-    scanner_.EnablePruning(&prepared_, &stats_);
-  }
-  ~TupleFirstCursor() override { counters_->Add(stats_); }
-
-  bool Next(ScanRow* out) override {
-    if (limit_ != 0 && stats_.rows_emitted >= limit_) return false;
-    RecordRef rec;
-    uint64_t idx;
-    while (scanner_.Next(&rec, &idx)) {
-      ++stats_.rows_scanned;
-      stats_.bytes_scanned += row_bytes_;
-      if (!prepared_.Matches(rec.data().data())) continue;
-      if (!cols_.empty()) {
-        present_.clear();
-        for (uint32_t i = 0; i < cols_.size(); ++i) {
-          if (cols_[i].Test(idx)) present_.push_back(i);
-        }
-        out->branches = &present_;
-      } else {
-        out->branches = nullptr;
-      }
-      out->record = rec;
-      ++stats_.rows_emitted;
-      return true;
-    }
-    return false;
-  }
-
-  const Status& status() const override { return scanner_.status(); }
-  const ScanStats& stats() const override { return stats_; }
-  const std::vector<BranchId>& branches() const override {
-    return branch_list_;
-  }
-
- private:
-  Bitmap bits_;
-  std::vector<Bitmap> cols_;
-  std::vector<BranchId> branch_list_;
-  StripedBitmapScanner scanner_;
-  PreparedPredicate prepared_;
-  uint64_t limit_;
-  uint32_t row_bytes_;
-  ScanCounters* counters_;
-  std::vector<uint32_t> present_;
-  ScanStats stats_;
-};
-
-}  // namespace
 
 Result<std::unique_ptr<TupleFirstEngine>> TupleFirstEngine::Make(
     const Schema& schema, const EngineOptions& options) {
@@ -282,7 +204,8 @@ Status TupleFirstEngine::RebuildPkIndex(BranchId b) {
   PkIndex& idx = pk_index_[b];
   idx.clear();
   const Bitmap view = index_->MaterializeBranch(b);
-  StripedBitmapScanner scanner(heap_->SnapshotMapping(), &schema_, &view);
+  const RecordMap map = heap_->SnapshotMapping();
+  BitmapScanner scanner(&map, &schema_, &view);
   RecordRef rec;
   uint64_t pos;
   while (scanner.Next(&rec, &pos)) {
@@ -412,6 +335,10 @@ Status TupleFirstEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
 Result<std::unique_ptr<ScanCursor>> TupleFirstEngine::NewScan(
     const ScanSpec& spec) {
   DECIBEL_RETURN_NOT_OK(ValidateScanSpec(spec, schema_));
+  // One part over the whole heap. For multi views `cols` holds the
+  // requested branches' columns and `bits` their union. The extent map is
+  // snapshotted after the bitmaps, so it covers every set bit.
+  BitmapPart part;
   switch (spec.view) {
     case ScanView::kBranch: {
       std::shared_lock<std::shared_mutex> registry(registry_mu_);
@@ -422,46 +349,35 @@ Result<std::unique_ptr<ScanCursor>> TupleFirstEngine::NewScan(
       // Materialize the snapshot under the branch's stripe (for the
       // tuple-oriented layout this walks the whole matrix — the
       // single-branch scan penalty of §3.2), then stream lock-free.
-      Bitmap bits;
-      {
-        StripeGuard stripe(this, {spec.branch});
-        bits = index_->MaterializeBranch(spec.branch);
-      }
-      return std::unique_ptr<ScanCursor>(new TupleFirstCursor(
-          heap_->SnapshotMapping(), &schema_, std::move(bits), {}, {}, spec,
-          &scan_counters_));
+      StripeGuard stripe(this, {spec.branch});
+      part.bits = index_->MaterializeBranch(spec.branch);
+      break;
     }
     case ScanView::kCommit: {
-      DECIBEL_ASSIGN_OR_RETURN(Bitmap bits, CommitBitmap(spec.commit));
-      return std::unique_ptr<ScanCursor>(new TupleFirstCursor(
-          heap_->SnapshotMapping(), &schema_, std::move(bits), {}, {}, spec,
-          &scan_counters_));
+      DECIBEL_ASSIGN_OR_RETURN(part.bits, CommitBitmap(spec.commit));
+      break;
     }
     case ScanView::kMulti: {
       // One pass over the heap, each tuple annotated with the branches it
       // is live in (§3.2 Multi-branch Scan). All requested stripes are
       // held together so the cross-branch snapshot is consistent.
       std::shared_lock<std::shared_mutex> registry(registry_mu_);
-      std::vector<Bitmap> cols;
-      cols.reserve(spec.branches.size());
-      Bitmap unioned;
-      {
-        StripeGuard stripes(this, spec.branches);
-        for (BranchId b : spec.branches) {
-          cols.push_back(index_->MaterializeBranch(b));
-          unioned.OrWith(cols.back());
-        }
+      StripeGuard stripes(this, spec.branches);
+      part.cols.reserve(spec.branches.size());
+      for (BranchId b : spec.branches) {
+        part.cols.push_back(index_->MaterializeBranch(b));
+        part.bits.OrWith(part.cols.back());
       }
-      return std::unique_ptr<ScanCursor>(new TupleFirstCursor(
-          heap_->SnapshotMapping(), &schema_, std::move(unioned),
-          std::move(cols), spec.branches, spec, &scan_counters_));
+      break;
     }
-    case ScanView::kDiff:
-      return MakeDiffScanCursor(this, spec, &scan_counters_);
-    case ScanView::kHeads:
-      break;  // rejected by ValidateScanSpec
+    default:
+      return Status::InvalidArgument("tuple-first: unsupported scan view");
   }
-  return Status::InvalidArgument("tuple-first: unsupported scan view");
+  part.map = heap_->SnapshotMapping();
+  std::vector<BitmapPart> parts;
+  parts.push_back(std::move(part));
+  return MakeBitmapCursor(&schema_, std::move(parts), spec,
+                          /*segments_skipped=*/0, scan_counters());
 }
 
 Result<Record> TupleFirstEngine::Get(BranchId branch, int64_t pk) {
@@ -490,24 +406,18 @@ Result<Record> TupleFirstEngine::Get(BranchId branch, int64_t pk) {
 Status TupleFirstEngine::DiffWalk(BranchId a, BranchId b,
                                   const DiffWalkCallback& cb,
                                   ScanStats* stats) {
-  // "Diff is straightforward to compute in tuple-first: we simply XOR
-  // bitmaps together and emit records on the appropriate iterator" (§3.2).
   // Both stripes are taken together (ascending order) so the two columns
   // form one consistent snapshot; the record pass then runs lock-free.
-  Bitmap bits_a, delta;
+  std::vector<BitmapDiffPart> parts(1);
   {
     std::shared_lock<std::shared_mutex> registry(registry_mu_);
     StripeGuard stripes(this, {a, b});
-    bits_a = index_->MaterializeBranch(a);
-    delta = Bitmap::Xor(bits_a, index_->MaterializeBranch(b));
+    parts[0].in_a = index_->MaterializeBranch(a);
+    parts[0].delta =
+        Bitmap::Xor(parts[0].in_a, index_->MaterializeBranch(b));
   }
-  const StripedHeap::Mapping mapping = heap_->SnapshotMapping();
-  StripedBitmapScanner scanner(mapping, &schema_, &delta);
-  scanner.EnablePruning(/*predicate=*/nullptr, stats);
-  RecordRef rec;
-  uint64_t idx;
-  while (scanner.Next(&rec, &idx)) cb(rec, bits_a.Test(idx));
-  return scanner.status();
+  parts[0].map = heap_->SnapshotMapping();
+  return BitmapDiffWalk(&schema_, parts, cb, stats);
 }
 
 // -------------------------------------------------------------------- merge
@@ -515,83 +425,17 @@ Status TupleFirstEngine::DiffWalk(BranchId a, BranchId b,
 Status TupleFirstEngine::MergeWalk(CommitId left, CommitId right,
                                    CommitId base, const MergeWalkCallback& cb,
                                    MergeWalkStats* stats) {
-  // Pure bitmap algebra over three committed snapshots (§3.2): the mask
-  // (L⊕B)|(R⊕B) covers every live position of every changed key. Proof:
-  // each commit carries at most one live position per pk (update unsets
-  // the prior version's bit); a position outside the mask is live in all
-  // three commits or none, so a pk with a live position outside the mask
-  // has that same position in left, right and base — i.e. it never
-  // changed. Commit checkouts are internally locked and heap records are
-  // immutable once appended, so the walk needs no engine locks.
-  DECIBEL_ASSIGN_OR_RETURN(Bitmap bits_l, CommitBitmap(left));
-  DECIBEL_ASSIGN_OR_RETURN(Bitmap bits_r, CommitBitmap(right));
-  DECIBEL_ASSIGN_OR_RETURN(Bitmap bits_b, CommitBitmap(base));
-  const StripedHeap::Mapping mapping = heap_->SnapshotMapping();
-  const uint32_t rs = schema_.record_size();
-
-  const Bitmap mask =
-      Bitmap::Or(Bitmap::Xor(bits_l, bits_b), Bitmap::Xor(bits_r, bits_b));
-
-  // One heap pass over the mask, grouping positions by primary key. The
-  // ordered map also gives the ascending-pk emission order.
-  constexpr uint64_t kAbsent = ~uint64_t{0};
-  struct Positions {
-    uint64_t l = kAbsent, r = kAbsent, b = kAbsent;
-  };
-  std::map<int64_t, Positions> keys;
-  {
-    StripedBitmapScanner scanner(mapping, &schema_, &mask);
-    RecordRef rec;
-    uint64_t idx;
-    while (scanner.Next(&rec, &idx)) {
-      Positions& p = keys[rec.pk()];
-      if (bits_l.Test(idx)) p.l = idx;
-      if (bits_r.Test(idx)) p.r = idx;
-      if (bits_b.Test(idx)) p.b = idx;
-      stats->bytes_processed += rs;
-    }
-    DECIBEL_RETURN_NOT_OK(scanner.status());
-  }
-
-  // Emit each key's three states. Positions shared between commits share
-  // one fetch (common case: unchanged-on-one-side keys).
-  std::string buf_l, buf_r, buf_b;
-  for (const auto& [pk, pos] : keys) {
-    MergeWalkItem item;
-    item.pk = pk;
-    std::optional<RecordRef> ref_l, ref_r, ref_b;
-    if (pos.l != kAbsent) {
-      DECIBEL_RETURN_NOT_OK(heap_->Get(pos.l, &buf_l));
-      stats->bytes_processed += rs;
-      ref_l.emplace(&schema_, Slice(buf_l));
-      item.left = &*ref_l;
-    }
-    if (pos.r != kAbsent) {
-      if (pos.r == pos.l) {
-        item.right = item.left;
-      } else {
-        DECIBEL_RETURN_NOT_OK(heap_->Get(pos.r, &buf_r));
-        stats->bytes_processed += rs;
-        ref_r.emplace(&schema_, Slice(buf_r));
-        item.right = &*ref_r;
-      }
-    }
-    if (pos.b != kAbsent) {
-      if (pos.b == pos.l) {
-        item.base = item.left;
-      } else if (pos.b == pos.r) {
-        item.base = item.right;
-      } else {
-        DECIBEL_RETURN_NOT_OK(heap_->Get(pos.b, &buf_b));
-        stats->bytes_processed += rs;
-        ref_b.emplace(&schema_, Slice(buf_b));
-        item.base = &*ref_b;
-      }
-    }
-    ++stats->keys_emitted;
-    DECIBEL_RETURN_NOT_OK(cb(item));
-  }
-  return Status::OK();
+  // Pure bitmap algebra over three committed snapshots (§3.2); each commit
+  // carries at most one live position per pk (update unsets the prior
+  // version's bit). Commit checkouts are internally locked and heap
+  // records are immutable once appended, so the walk needs no engine
+  // locks.
+  std::vector<BitmapMergePart> parts(1);
+  DECIBEL_ASSIGN_OR_RETURN(parts[0].left, CommitBitmap(left));
+  DECIBEL_ASSIGN_OR_RETURN(parts[0].right, CommitBitmap(right));
+  DECIBEL_ASSIGN_OR_RETURN(parts[0].base, CommitBitmap(base));
+  parts[0].map = heap_->SnapshotMapping();
+  return BitmapMergeWalk(&schema_, parts, cb, stats);
 }
 
 // -------------------------------------------------------------------- stats
@@ -613,11 +457,7 @@ EngineStats TupleFirstEngine::Stats() const {
   }
   stats.num_segments = heap_->stripe_count();
   stats.num_records = heap_->num_records();
-  stats.rows_scanned = scan_counters_.rows();
-  stats.bytes_scanned = scan_counters_.bytes();
-  stats.bytes_read = scan_counters_.bytes_read();
-  stats.segments_skipped = scan_counters_.segments_skipped();
-  stats.pages_skipped = scan_counters_.pages_skipped();
+  CopyScanCounters(&stats);
   stats.pool = pool_.stats();
   return stats;
 }

@@ -10,6 +10,11 @@
 /// bitmap algebra; single-branch scans pay for the interleaving of
 /// branches in the shared file.
 ///
+/// The engine decides which bitmaps to read and snapshots them under its
+/// locks; the scans, the diff walk and the merge walk themselves are the
+/// bitmap read core (engine/bitmap_scan.h), run over one part: the
+/// bitmap(s) plus the striped heap's extent map (RecordMap).
+///
 /// Concurrency: writers on disjoint branches proceed in parallel. The
 /// lock hierarchy is registry_mu_ (shape of the branch registries, taken
 /// shared by every operation and unique only by branch creation and
@@ -130,8 +135,6 @@ class TupleFirstEngine : public StorageEngine {
   Schema schema_;
   EngineOptions options_;
   BufferPool pool_;
-  /// Lifetime scan-work totals (EngineStats::rows_scanned/bytes_scanned).
-  ScanCounters scan_counters_;
 
   /// Shape of the branch registries (pk_index_ keys, bitmap branch set).
   /// Writers/readers take it shared; CreateBranch and Flush take it

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/coding.h"
-#include "engine/scan_util.h"
 
 namespace decibel {
 
@@ -606,7 +605,7 @@ class VersionFirstEngine::BranchScanCursor : public ScanCursor {
         row_bytes_(ProjectedRowBytes(engine->schema_, spec.projection)) {
     if (!prepared_.empty()) PlanSkips();
   }
-  ~BranchScanCursor() override { engine_->scan_counters_.Add(stats_); }
+  ~BranchScanCursor() override { engine_->scan_counters()->Add(stats_); }
 
   bool Next(ScanRow* out) override {
     if (limit_ != 0 && stats_.rows_emitted >= limit_) return false;
@@ -758,7 +757,7 @@ class VersionFirstEngine::MultiWinnerCursor : public ScanCursor {
         prepared_(spec.predicate, engine->schema_),
         limit_(spec.limit),
         row_bytes_(ProjectedRowBytes(engine->schema_, spec.projection)) {}
-  ~MultiWinnerCursor() override { engine_->scan_counters_.Add(stats_); }
+  ~MultiWinnerCursor() override { engine_->scan_counters()->Add(stats_); }
 
   bool Next(ScanRow* out) override {
     if (limit_ != 0 && stats_.rows_emitted >= limit_) return false;
@@ -901,7 +900,6 @@ Result<std::unique_ptr<ScanCursor>> VersionFirstEngine::NewScan(
           this, std::move(files), std::move(output), spec.branches, spec));
     }
     case ScanView::kDiff:
-      return MakeDiffScanCursor(this, spec, &scan_counters_);
     case ScanView::kHeads:
       break;  // rejected by ValidateScanSpec
   }
@@ -1200,11 +1198,7 @@ EngineStats VersionFirstEngine::Stats() const {
     std::lock_guard<std::mutex> commit_lock(commit_mu_);
     stats.commit_store_bytes = commits_.size() * 20;
   }
-  stats.rows_scanned = scan_counters_.rows();
-  stats.bytes_scanned = scan_counters_.bytes();
-  stats.bytes_read = scan_counters_.bytes_read();
-  stats.segments_skipped = scan_counters_.segments_skipped();
-  stats.pages_skipped = scan_counters_.pages_skipped();
+  CopyScanCounters(&stats);
   stats.pool = pool_.stats();
   return stats;
 }

@@ -165,9 +165,6 @@ class VersionFirstEngine : public StorageEngine {
   Schema schema_;
   EngineOptions options_;
   BufferPool pool_;
-  /// Lifetime scan-work totals (EngineStats::rows_scanned/bytes_scanned);
-  /// mutable so cursors over a const engine can flush into it.
-  mutable ScanCounters scan_counters_;
 
   /// Shape of segments_ and head_seg_: ApplyBatch/Commit/scan-open take
   /// it shared, CreateBranch/Merge/Flush take it unique. Ordered before

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/coding.h"
-#include "engine/scan_spec.h"
 
 namespace decibel {
 
@@ -14,6 +13,17 @@ constexpr uint32_t kManifestMagic = 0x53485053;  // "SPHS"
 // appends per-stripe zone-map stats blobs (HeapFile::EncodeStats) so a
 // reopen can skip pages without rescanning them first.
 constexpr uint32_t kManifestVersion = 3;
+
+/// The extent of sorted, gap-free \p extents covering \p global, or null.
+const RecordMap::Extent* FindExtent(
+    const std::vector<RecordMap::Extent>& extents, uint64_t global) {
+  auto it = std::upper_bound(
+      extents.begin(), extents.end(), global,
+      [](uint64_t g, const RecordMap::Extent& e) { return g < e.base; });
+  if (it == extents.begin()) return nullptr;
+  --it;
+  return global < it->base + it->capacity ? &*it : nullptr;
+}
 }  // namespace
 
 StripedHeap::StripedHeap(std::string dir, uint32_t record_size,
@@ -284,18 +294,12 @@ Status StripedHeap::Get(uint64_t global, std::string* out) {
   uint64_t local = 0;
   {
     std::shared_lock<std::shared_mutex> table(table_mu_);
-    auto it = std::upper_bound(
-        extents_.begin(), extents_.end(), global,
-        [](uint64_t g, const Extent& e) { return g < e.base; });
-    if (it == extents_.begin()) {
+    const Extent* e = FindExtent(extents_, global);
+    if (e == nullptr) {
       return Status::NotFound("striped heap: index out of range");
     }
-    --it;
-    if (global >= it->base + it->capacity) {
-      return Status::NotFound("striped heap: index out of range");
-    }
-    file = stripes_[it->stripe].file.get();
-    local = it->local_base + (global - it->base);
+    file = stripes_[e->stripe].file.get();
+    local = e->local_base + (global - e->base);
   }
   return file->Get(local, out);
 }
@@ -313,8 +317,8 @@ Status StripedHeap::Flush() {
   return WriteManifest();
 }
 
-StripedHeap::Mapping StripedHeap::SnapshotMapping() const {
-  Mapping m;
+RecordMap StripedHeap::SnapshotMapping() const {
+  RecordMap m;
   m.files_.reserve(stripes_.size());
   for (const StripeState& st : stripes_) m.files_.push_back(st.file.get());
   std::shared_lock<std::shared_mutex> table(table_mu_);
@@ -322,84 +326,20 @@ StripedHeap::Mapping StripedHeap::SnapshotMapping() const {
   return m;
 }
 
-bool StripedHeap::Mapping::Resolve(uint64_t global, HeapFile** file,
-                                   uint64_t* local) const {
-  if (extents_.empty()) return false;
-  // Monotonic scans resolve from the hinted extent forward; random probes
-  // fall back to binary search.
-  size_t i = hint_;
-  if (i >= extents_.size() || global < extents_[i].base) {
-    auto it = std::upper_bound(
-        extents_.begin(), extents_.end(), global,
-        [](uint64_t g, const Extent& e) { return g < e.base; });
-    if (it == extents_.begin()) return false;
-    i = static_cast<size_t>(it - extents_.begin()) - 1;
-  } else {
-    while (i + 1 < extents_.size() && global >= extents_[i + 1].base) ++i;
-  }
-  const Extent& e = extents_[i];
-  if (global < e.base || global >= e.base + e.capacity) return false;
-  hint_ = i;
-  *file = files_[e.stripe];
-  *local = e.local_base + (global - e.base);
-  return true;
+RecordMap RecordMap::OfFile(HeapFile* file) {
+  RecordMap m;
+  m.files_.push_back(file);
+  m.extents_.push_back(Extent{0, file->num_records(), 0, 0});
+  return m;
 }
 
-bool StripedBitmapScanner::Next(RecordRef* out, uint64_t* index) {
-  if (!status_.ok()) return false;
-  for (;;) {
-    const uint64_t next = bits_->NextSet(pos_);
-    if (next == UINT64_MAX || next >= mapping_.bound()) return false;
-    pos_ = next + 1;
-    HeapFile* file = nullptr;
-    uint64_t local = 0;
-    if (!mapping_.Resolve(next, &file, &local)) {
-      // A bit inside the snapshot's bound always has a covering extent.
-      status_ = Status::Corruption("striped heap: set bit outside extents");
-      return false;
-    }
-    if (local >= file->num_records()) {
-      // Bit set for a record the snapshot's stripe file has not appended —
-      // cannot happen for a bitmap materialized before the mapping.
-      status_ = Status::Corruption("striped heap: set bit beyond stripe end");
-      return false;
-    }
-    const uint64_t page_no = local / file->records_per_page();
-    if (file != pinned_file_ || page_no != pinned_page_no_) {
-      // The bitmap already resolved visibility, so a page the zone map
-      // (or its compressed strips) rules out can be stepped over — every
-      // bit landing on it is remembered as skipped until the scan moves
-      // to another page.
-      if (file == skip_file_ && page_no == skip_page_no_) continue;
-      if (predicate_ != nullptr && !file->PageMayMatch(page_no, *predicate_)) {
-        skip_file_ = file;
-        skip_page_no_ = page_no;
-        if (stats_ != nullptr) ++stats_->pages_skipped;
-        continue;
-      }
-      bool no_matches = false;
-      auto page = file->PinPageCounted(page_no, predicate_, &no_matches);
-      if (!page.ok()) {
-        status_ = page.status();
-        return false;
-      }
-      if (stats_ != nullptr) stats_->bytes_read += page.value().io_bytes;
-      if (no_matches) {
-        skip_file_ = file;
-        skip_page_no_ = page_no;
-        if (stats_ != nullptr) ++stats_->pages_skipped;
-        continue;
-      }
-      page_ = std::move(page).MoveValueUnsafe();
-      pinned_file_ = file;
-      pinned_page_no_ = page_no;
-    }
-    const uint64_t slot = local % file->records_per_page();
-    *out = RecordRef(schema_, Slice(page_.payload + slot * file->record_size(),
-                                    file->record_size()));
-    if (index != nullptr) *index = next;
-    return true;
-  }
+bool RecordMap::Resolve(uint64_t global, HeapFile** file,
+                        uint64_t* local) const {
+  const Extent* e = FindExtent(extents_, global);
+  if (e == nullptr) return false;
+  *file = files_[e->stripe];
+  *local = e->local_base + (global - e->base);
+  return true;
 }
 
 }  // namespace decibel

@@ -21,9 +21,12 @@
 /// Concurrency contract: writers to the SAME stripe must be serialized by
 /// the caller (the engine's stripe locks do this); writers to different
 /// stripes proceed in parallel, coordinating only on the global counter
-/// and the extent table. Readers never block: Mapping is an immutable
+/// and the extent table. Readers never block: a RecordMap is an immutable
 /// snapshot of the extent table taken at cursor-open time, and the
 /// underlying HeapFiles are append-only with snapshot-safe tail reads.
+/// RecordMap is also how the hybrid engine addresses a segment (one
+/// extent over one file), so the bitmap read core in engine/bitmap_scan.h
+/// serves both layouts.
 ///
 /// Persistence: `manifest` (extent table + geometry) is rewritten on
 /// Flush, after the stripe files — the same recover-to-last-flush
@@ -37,12 +40,49 @@
 #include <string>
 #include <vector>
 
-#include "bitmap/bitmap.h"
 #include "common/result.h"
 #include "storage/heap_file.h"
-#include "storage/record.h"
 
 namespace decibel {
+
+/// Where the positions of a bitmap live: an immutable, gap-free list of
+/// extents, each mapping a contiguous range of bit positions onto a
+/// contiguous range of records in one heap file. The striped heap
+/// snapshots its extent table into one (StripedHeap::SnapshotMapping); a
+/// single file is OfFile. Taken AFTER materializing the bitmap a scan will
+/// follow, a map covers every set bit (positions are assigned before
+/// records are appended, and records are appended before bits are set).
+class RecordMap {
+ public:
+  struct Extent {
+    uint64_t base = 0;        ///< first bit position
+    uint64_t capacity = 0;    ///< positions reserved
+    uint32_t stripe = 0;      ///< index of the extent's file
+    uint64_t local_base = 0;  ///< first record index in that file
+  };
+
+  RecordMap() = default;
+
+  /// One extent starting at 0 over the records \p file holds now.
+  static RecordMap OfFile(HeapFile* file);
+
+  /// Translates \p global; false if it falls outside every extent.
+  bool Resolve(uint64_t global, HeapFile** file, uint64_t* local) const;
+
+  /// One past the last position this map covers.
+  uint64_t bound() const {
+    return extents_.empty() ? 0
+                            : extents_.back().base + extents_.back().capacity;
+  }
+
+  const std::vector<Extent>& extents() const { return extents_; }
+  HeapFile* file(uint32_t stripe) const { return files_[stripe]; }
+
+ private:
+  friend class StripedHeap;
+  std::vector<Extent> extents_;   // sorted by base, gap-free
+  std::vector<HeapFile*> files_;  // indexed by Extent::stripe
+};
 
 class StripedHeap {
  public:
@@ -89,12 +129,7 @@ class StripedHeap {
     size_t size_ = 0;
   };
 
-  struct Extent {
-    uint64_t base = 0;        ///< first global index
-    uint64_t capacity = 0;    ///< global indices reserved
-    uint32_t stripe = 0;      ///< owning stripe
-    uint64_t local_base = 0;  ///< first record index in the stripe file
-  };
+  using Extent = RecordMap::Extent;
 
   /// Creates a fresh striped heap in \p dir (one `heap.<i>.dbhf` per
   /// stripe plus a `manifest`).
@@ -160,34 +195,9 @@ class StripedHeap {
   /// the persisted blobs were. No-op with stats disabled.
   Status EnsureStats();
 
-  /// An immutable snapshot of the global->(file, local) translation.
-  /// Cheap to copy around; resolves monotonically-increasing lookups in
-  /// amortized O(1) via a cursor hint. Taken AFTER materializing the
-  /// bitmap a scan will follow, it is guaranteed to cover every set bit
-  /// (indices are carved from the counter before records are appended,
-  /// before bits are set).
-  class Mapping {
-   public:
-    Mapping() = default;
-
-    /// Translates \p global; false if it falls outside every extent in
-    /// the snapshot.
-    bool Resolve(uint64_t global, HeapFile** file, uint64_t* local) const;
-
-    /// One past the last global index this snapshot covers.
-    uint64_t bound() const {
-      return extents_.empty() ? 0
-                              : extents_.back().base + extents_.back().capacity;
-    }
-
-   private:
-    friend class StripedHeap;
-    std::vector<Extent> extents_;         // sorted by base, gap-free
-    std::vector<HeapFile*> files_;        // per stripe, stable pointers
-    mutable size_t hint_ = 0;             // last resolved extent
-  };
-
-  Mapping SnapshotMapping() const;
+  /// An immutable snapshot of the global->(stripe file, local)
+  /// translation (see RecordMap).
+  RecordMap SnapshotMapping() const;
 
  private:
   struct StripeState {
@@ -227,47 +237,6 @@ class StripedHeap {
 
   std::atomic<uint64_t> allocated_bound_{0};
   std::atomic<uint64_t> num_records_{0};
-};
-
-struct ScanStats;
-
-/// Iterates heap records selected by a bitmap through a Mapping snapshot —
-/// the striped counterpart of BitmapScanner. Lock-free: the bitmap is the
-/// caller's materialized copy and the mapping never changes.
-class StripedBitmapScanner {
- public:
-  /// \p bits must outlive the scanner.
-  StripedBitmapScanner(StripedHeap::Mapping mapping, const Schema* schema,
-                       const Bitmap* bits)
-      : mapping_(std::move(mapping)), schema_(schema), bits_(bits) {}
-
-  /// Turns on zone-map page skipping: pages whose zone maps rule out
-  /// \p predicate (or whose compressed strips prove zero matches) are
-  /// stepped over without pinning. Sound here because the bitmap already
-  /// resolved version visibility — a skipped page's records were only
-  /// ever going to be filtered out. \p stats (optional) receives
-  /// pages_skipped and bytes_read; both pointers must outlive the scanner.
-  void EnablePruning(const PreparedPredicate* predicate, ScanStats* stats) {
-    predicate_ = predicate;
-    stats_ = stats;
-  }
-
-  bool Next(RecordRef* out, uint64_t* index);
-  const Status& status() const { return status_; }
-
- private:
-  StripedHeap::Mapping mapping_;
-  const Schema* schema_;
-  const Bitmap* bits_;
-  const PreparedPredicate* predicate_ = nullptr;
-  ScanStats* stats_ = nullptr;
-  uint64_t pos_ = 0;
-  HeapFile* pinned_file_ = nullptr;
-  uint64_t pinned_page_no_ = UINT64_MAX;
-  HeapFile::PinnedPage page_;
-  HeapFile* skip_file_ = nullptr;
-  uint64_t skip_page_no_ = UINT64_MAX;
-  Status status_;
 };
 
 }  // namespace decibel

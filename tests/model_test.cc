@@ -3,7 +3,8 @@
 /// oracle (one std::map per branch, snapshots per commit). After every
 /// burst the engine's scans, commit scans and diffs (by key and by
 /// content, through Diff and the filtered, limited diff view) must agree
-/// with the oracle exactly. Parameterized over engine type x seed.
+/// with the oracle exactly. Parameterized over engine type x seed, plus
+/// the tuple-oriented and parallel-scan layouts of the bitmap engines.
 
 #include <gtest/gtest.h>
 
@@ -28,17 +29,11 @@ struct Oracle {
   std::map<CommitId, Table> commits;
 };
 
-class ModelTest
-    : public ::testing::TestWithParam<std::tuple<EngineType, uint64_t>> {};
-
-TEST_P(ModelTest, RandomOperationStreamMatchesOracle) {
-  const EngineType engine_type = std::get<0>(GetParam());
-  const uint64_t seed = std::get<1>(GetParam());
-
+/// Runs the randomized stream for \p seed on an engine opened with
+/// \p options (page size aside) and checks it against the oracle.
+void RunModel(DecibelOptions options, uint64_t seed) {
   ScratchDir dir("model");
   const Schema schema = TestSchema(3);
-  DecibelOptions options;
-  options.engine = engine_type;
   options.page_size = 4096;
   auto db_result = Decibel::Open(dir.path(), schema, options);
   ASSERT_TRUE(db_result.ok()) << db_result.status().ToString();
@@ -257,6 +252,15 @@ TEST_P(ModelTest, RandomOperationStreamMatchesOracle) {
   }
 }
 
+class ModelTest
+    : public ::testing::TestWithParam<std::tuple<EngineType, uint64_t>> {};
+
+TEST_P(ModelTest, RandomOperationStreamMatchesOracle) {
+  DecibelOptions options;
+  options.engine = std::get<0>(GetParam());
+  RunModel(options, std::get<1>(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     EnginesAndSeeds, ModelTest,
     ::testing::Combine(::testing::Values(EngineType::kTupleFirst,
@@ -270,6 +274,39 @@ INSTANTIATE_TEST_SUITE_P(
           : std::string(name) == "version-first" ? "VersionFirst"
                                                   : "Hybrid";
       return engine + "_seed" + std::to_string(std::get<1>(info.param));
+    });
+
+/// The bitmap-engine layouts the default options leave out, over the same
+/// stream: tuple-first on the tuple-oriented bitmap matrix, and hybrid
+/// scanning its segments on four threads (the parallel segment scan).
+enum class Layout { kTupleFirstTupleOriented, kHybridParallelScan };
+
+class ModelLayoutTest
+    : public ::testing::TestWithParam<std::tuple<Layout, uint64_t>> {};
+
+TEST_P(ModelLayoutTest, RandomOperationStreamMatchesOracle) {
+  DecibelOptions options;
+  if (std::get<0>(GetParam()) == Layout::kTupleFirstTupleOriented) {
+    options.engine = EngineType::kTupleFirst;
+    options.orientation = BitmapOrientation::kTupleOriented;
+  } else {
+    options.engine = EngineType::kHybrid;
+    options.scan_threads = 4;
+  }
+  RunModel(options, std::get<1>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LayoutsAndSeeds, ModelLayoutTest,
+    ::testing::Combine(::testing::Values(Layout::kTupleFirstTupleOriented,
+                                         Layout::kHybridParallelScan),
+                       ::testing::Values(1u, 7u, 42u, 1234u)),
+    [](const auto& info) {
+      const std::string layout =
+          std::get<0>(info.param) == Layout::kTupleFirstTupleOriented
+              ? "TupleFirstTupleOriented"
+              : "HybridParallelScan";
+      return layout + "_seed" + std::to_string(std::get<1>(info.param));
     });
 
 }  // namespace

@@ -389,6 +389,30 @@ TEST_P(ScanApiTest, EngineReportsScanCounters) {
   const EngineStats stats = db_->engine()->Stats();
   EXPECT_EQ(stats.rows_scanned, rows_before + 50);
   EXPECT_GE(stats.bytes_scanned, 50u * schema_.record_size());
+
+  // The facade serves the diff view, and its work still counts in the
+  // engine: the 5 dev inserts plus the 25 updated evens are rows of dev
+  // absent from master by content.
+  uint64_t diff_bytes_read = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(auto cursor,
+                         db_->NewScan(ScanSpec::Diff(dev_, kMasterBranch,
+                                                     DiffMode::kByContent)));
+    EXPECT_EQ(Drain(cursor.get()).size(), 30u);
+    EXPECT_EQ(cursor->stats().rows_scanned, 30u);
+    diff_bytes_read = cursor->stats().bytes_read;
+    EXPECT_GT(diff_bytes_read, 0u);
+  }
+  const EngineStats after = db_->engine()->Stats();
+  EXPECT_EQ(after.rows_scanned, stats.rows_scanned + 30);
+  EXPECT_EQ(after.bytes_scanned,
+            stats.bytes_scanned + 30u * schema_.record_size());
+  EXPECT_EQ(after.bytes_read, stats.bytes_read + diff_bytes_read);
+  // Engines serve no diff view themselves.
+  EXPECT_TRUE(db_->engine()
+                  ->NewScan(ScanSpec::Diff(dev_, kMasterBranch))
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST_P(ScanApiTest, StatsReportBufferPoolMissesAndLoadTime) {

@@ -1,5 +1,6 @@
 /// Unit tests for the relational storage substrate: schemas, records,
-/// heap files and the buffer pool.
+/// heap files, the bitmap scanner over striped and single-file record
+/// maps, and the buffer pool.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "storage/heap_file.h"
 #include "storage/record.h"
 #include "storage/schema.h"
+#include "storage/striped_heap.h"
 #include "test_util.h"
 
 namespace decibel {
@@ -369,6 +371,215 @@ TEST_F(HeapFileLargePageTest, CorruptCompressedPageFailsGetAndPrunedPin) {
   auto pin = file->PinPageCounted(0, &prepared, &no_matches);
   ASSERT_FALSE(pin.ok());
   EXPECT_TRUE(pin.status().IsCorruption()) << pin.status().ToString();
+}
+
+// ----------------------------------------------------------- BitmapScanner
+
+/// A two-stripe heap whose extents are half a page: stripe 0 holds low
+/// c1 values, stripe 1 high ones, and their extents interleave so each
+/// stripe's first page straddles two extents with the other stripe's in
+/// between. Both stripes end on an open extent with an unfilled hole.
+class BitmapScannerTest : public ::testing::Test {
+ protected:
+  static constexpr int32_t kLow = 1;
+  static constexpr int32_t kHigh = 2000;
+
+  BitmapScannerTest() : dir_("bitmap_scan"), pool_(1 << 20) {
+    schema_ = testing_util::TestSchema(1);
+  }
+
+  void SetUp() override {
+    HeapFile::Options probe_opts;
+    probe_opts.page_size = 256;
+    auto probe = HeapFile::Create(JoinPath(dir_.path(), "probe.dbhf"),
+                                  schema_.record_size(), probe_opts, &pool_);
+    ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+    rpp_ = (*probe)->records_per_page();
+    ASSERT_GE(rpp_, 8u);
+
+    StripedHeap::Options opts;
+    opts.page_size = 256;
+    opts.stripes = 2;
+    opts.extent_records = rpp_ / 2;
+    opts.schema = &schema_;
+    auto heap = StripedHeap::Create(dir_.path(),
+                                    schema_.record_size(), opts, &pool_);
+    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+    heap_ = std::move(heap).MoveValueUnsafe();
+    // Extents (R = records per page), base -> stripe-local records:
+    //   [0, R/2)      stripe 0 [0, R/2)
+    //   [R/2, R)      stripe 1 [0, R/2)
+    //   [R, 3R/2)     stripe 0 [R/2, R)        page 0 of stripe 0 again
+    //   [3R/2, 2R)    stripe 1 [R/2, 3R/4)     + hole [3R/2 + R/4, 2R)
+    //   [2R, 5R/2)    stripe 0 [R, R + 1)      + hole [2R + 1, 5R/2)
+    Append(0, rpp_ / 2, kLow);
+    Append(1, rpp_ / 2, kHigh);
+    Append(0, rpp_ / 2, kLow);
+    Append(1, rpp_ / 4, kHigh);
+    Append(0, 1, kLow);
+    map_ = heap_->SnapshotMapping();
+    ASSERT_EQ(map_.extents().size(), 5u);
+    ASSERT_EQ(map_.bound(), 5 * rpp_ / 2);
+  }
+
+  void Append(uint32_t stripe, uint64_t count, int32_t c1) {
+    std::string batch;
+    std::vector<int64_t> pks;
+    for (uint64_t i = 0; i < count; ++i) {
+      pks.push_back(next_pk_++);
+      batch += testing_util::MakeRecord(schema_, pks.back(), c1)
+                   .data()
+                   .ToString();
+    }
+    StripedHeap::RunList runs;
+    ASSERT_OK(heap_->AppendBatch(stripe, batch, count, &runs));
+    size_t k = 0;
+    for (size_t r = 0; r < runs.size(); ++r) {
+      for (uint64_t g = runs[r].base; g < runs[r].base + runs[r].count; ++g) {
+        records_.push_back({g, pks[k++], c1});
+      }
+    }
+  }
+
+  struct Placed {
+    uint64_t global;
+    int64_t pk;
+    int32_t c1;
+  };
+
+  /// Every placed record except every fifth pk.
+  Bitmap Selection() const {
+    Bitmap bits;
+    for (const Placed& p : records_) {
+      if (p.pk % 5 == 3) continue;
+      bits.EnsureBit(p.global);
+      bits.Set(p.global);
+    }
+    return bits;
+  }
+
+  /// The (pk, position) pairs of the selection whose c1 passes \p keep,
+  /// in position order.
+  template <typename Keep>
+  std::vector<std::pair<int64_t, uint64_t>> Expected(Keep keep) const {
+    std::vector<Placed> sorted = records_;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Placed& a, const Placed& b) {
+                return a.global < b.global;
+              });
+    std::vector<std::pair<int64_t, uint64_t>> out;
+    for (const Placed& p : sorted) {
+      if (p.pk % 5 != 3 && keep(p.c1)) out.emplace_back(p.pk, p.global);
+    }
+    return out;
+  }
+
+  static std::vector<std::pair<int64_t, uint64_t>> Drain(BitmapScanner* s) {
+    std::vector<std::pair<int64_t, uint64_t>> out;
+    RecordRef rec;
+    uint64_t idx;
+    while (s->Next(&rec, &idx)) out.emplace_back(rec.pk(), idx);
+    EXPECT_OK(s->status());
+    return out;
+  }
+
+  uint64_t PageBytes(uint32_t stripe, uint64_t page_no) {
+    auto page = map_.file(stripe)->PinPage(page_no);
+    EXPECT_TRUE(page.ok()) << page.status().ToString();
+    return page.ok() ? page.value().io_bytes : 0;
+  }
+
+  ScratchDir dir_;
+  Schema schema_;
+  BufferPool pool_;
+  uint64_t rpp_ = 0;
+  std::unique_ptr<StripedHeap> heap_;
+  RecordMap map_;
+  int64_t next_pk_ = 0;
+  std::vector<Placed> records_;
+};
+
+TEST_F(BitmapScannerTest, StripedMapWithoutPredicate) {
+  const Bitmap bits = Selection();
+  BitmapScanner scanner(&map_, &schema_, &bits);
+  ScanStats stats;
+  scanner.EnablePruning(/*predicate=*/nullptr, &stats);
+  EXPECT_EQ(Drain(&scanner), Expected([](int32_t) { return true; }));
+  EXPECT_EQ(stats.pages_skipped, 0u);
+  // Page 0 of each stripe is pinned twice — the scan leaves it for the
+  // other stripe's extent and comes back — then stripe 0's page 1 once.
+  EXPECT_EQ(stats.bytes_read,
+            2 * PageBytes(0, 0) + 2 * PageBytes(1, 0) + PageBytes(0, 1));
+}
+
+TEST_F(BitmapScannerTest, StripedMapSkipsPagesByZoneMap) {
+  const Bitmap bits = Selection();
+  auto pred = Predicate::Compare(schema_, "c1", CompareOp::kGe, kHigh);
+  ASSERT_TRUE(pred.ok());
+  const PreparedPredicate prepared(*pred, schema_);
+  BitmapScanner scanner(&map_, &schema_, &bits);
+  ScanStats stats;
+  scanner.EnablePruning(&prepared, &stats);
+  // Stripe 0's rows never surface; stripe 1's all do (the scanner skips
+  // pages, the caller's predicate would filter the rest).
+  EXPECT_EQ(Drain(&scanner), Expected([](int32_t c1) { return c1 >= kHigh; }));
+  // Stripe 0's page 0 is skipped once (the second extent on it is still
+  // remembered as skipped), its tail page once; stripe 1's page 0 is
+  // pinned once and reused when the scan returns to it.
+  EXPECT_EQ(stats.pages_skipped, 2u);
+  EXPECT_EQ(stats.bytes_read, PageBytes(1, 0));
+}
+
+TEST_F(BitmapScannerTest, SetBitInOpenExtentHoleIsCorruption) {
+  Bitmap bits = Selection();
+  const uint64_t hole = 3 * rpp_ / 2 + rpp_ / 4;  // stripe 1's open tail
+  bits.EnsureBit(hole);
+  bits.Set(hole);
+  BitmapScanner scanner(&map_, &schema_, &bits);
+  RecordRef rec;
+  uint64_t idx;
+  while (scanner.Next(&rec, &idx)) EXPECT_LT(idx, hole);
+  EXPECT_TRUE(scanner.status().IsCorruption()) << scanner.status().ToString();
+}
+
+TEST_F(BitmapScannerTest, SingleFileMap) {
+  // A hybrid segment's map: one extent from 0 over one file; positions
+  // are the file's record indices.
+  auto all_of = [](const HeapFile* file) {
+    Bitmap bits(file->num_records());
+    for (uint64_t i = 0; i < file->num_records(); ++i) bits.Set(i);
+    return bits;
+  };
+  auto pred = Predicate::Compare(schema_, "c1", CompareOp::kGe, kHigh);
+  ASSERT_TRUE(pred.ok());
+  const PreparedPredicate prepared(*pred, schema_);
+  {
+    HeapFile* file = map_.file(1);
+    const RecordMap map = RecordMap::OfFile(file);
+    ASSERT_EQ(map.bound(), file->num_records());
+    std::vector<std::pair<int64_t, uint64_t>> expected;
+    for (const Placed& p : records_) {
+      if (p.c1 == kHigh) expected.emplace_back(p.pk, expected.size());
+    }
+    const Bitmap bits = all_of(file);
+    BitmapScanner scanner(&map, &schema_, &bits);
+    ScanStats stats;
+    scanner.EnablePruning(&prepared, &stats);
+    EXPECT_EQ(Drain(&scanner), expected);
+    EXPECT_EQ(stats.pages_skipped, 0u);
+    EXPECT_EQ(stats.bytes_read, PageBytes(1, 0));
+  }
+  {
+    // The HeapFile constructor builds the same map. Stripe 0's file holds
+    // only low values, so both of its pages are skipped unread.
+    const Bitmap bits = all_of(map_.file(0));
+    BitmapScanner scanner(map_.file(0), &schema_, &bits);
+    ScanStats stats;
+    scanner.EnablePruning(&prepared, &stats);
+    EXPECT_TRUE(Drain(&scanner).empty());
+    EXPECT_EQ(stats.pages_skipped, 2u);
+    EXPECT_EQ(stats.bytes_read, 0u);
+  }
 }
 
 // -------------------------------------------------------------- BufferPool
