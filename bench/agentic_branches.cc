@@ -21,8 +21,15 @@
 ///   - the active branch count returns to 1 (master) afterwards, and
 ///   - the TCP server reaps every session once the clients disconnect.
 ///
+/// A third case times the fork itself, per engine: master is loaded with
+/// 10k and then 1M rows through ApplyBatch and committed, and the line
+/// reports the mean of 20 `BRANCH … FROM master` statements, e.g.
+///
+///   {"mode": "fork", "engine": "HY", "master_rows": 1000000,
+///    "forks": 20, "mean_fork_ms": 0.41}
+///
 /// DECIBEL_AGENTS overrides the agent count (default 8); DECIBEL_SCALE
-/// multiplies the cycles per agent.
+/// multiplies the cycles per agent and the fork case's master rows.
 
 #include <cinttypes>
 
@@ -216,6 +223,48 @@ void Emit(const std::string& mode, int agents, ModeResult result) {
          result.Percentile(99));
 }
 
+/// Mean latency of \p forks `BRANCH … FROM master` statements once master
+/// holds \p rows committed rows: the cost of a fork against table size.
+Result<double> MeanForkMs(EngineType engine, uint64_t rows, int forks) {
+  DECIBEL_ASSIGN_OR_RETURN(ScopedDb scoped, FreshDb(engine, "fork"));
+  Decibel* db = scoped.db.get();
+  constexpr uint64_t kBatchRows = 10000;
+  for (uint64_t first = 0; first < rows; first += kBatchRows) {
+    WriteBatch batch(&db->schema());
+    for (uint64_t pk = first; pk < std::min(rows, first + kBatchRows); ++pk) {
+      Record record(&db->schema());
+      record.SetPk(static_cast<int64_t>(pk));
+      batch.Insert(record);
+    }
+    DECIBEL_RETURN_NOT_OK(db->ApplyBatch(kMasterBranch, batch));
+  }
+  DECIBEL_RETURN_NOT_OK(db->CommitBranch(kMasterBranch).status());
+  vquel::Interpreter interp(db);
+  double total_ms = 0;
+  for (int f = 0; f < forks; ++f) {
+    Stopwatch timer;
+    DECIBEL_RETURN_NOT_OK(
+        interp.Execute("BRANCH fork" + std::to_string(f) + " FROM master")
+            .status());
+    total_ms += timer.ElapsedSeconds() * 1000.0;
+  }
+  return total_ms / forks;
+}
+
+void RunForks() {
+  constexpr int kForks = 20;
+  for (uint64_t base_rows : {uint64_t{10000}, uint64_t{1000000}}) {
+    const uint64_t rows = base_rows * static_cast<uint64_t>(ScaleFactor());
+    for (EngineType engine : AllEngines()) {
+      BENCH_ASSIGN_OR_DIE(double mean_ms, MeanForkMs(engine, rows, kForks));
+      printf("{\"mode\": \"fork\", \"engine\": \"%s\", "
+             "\"master_rows\": %" PRIu64 ", \"forks\": %d, "
+             "\"mean_fork_ms\": %.3f}\n",
+             ShortName(engine), rows, kForks, mean_ms);
+    }
+  }
+}
+
 void Run() {
   const int agents = std::max(1, EnvInt("DECIBEL_AGENTS", 8));
   // >= 1000 total cycles per mode at the default agent count.
@@ -264,6 +313,9 @@ void Run() {
     server->Stop();
     Emit("tcp", agents, std::move(result));
   }
+
+  // --- fork latency against table size ---
+  RunForks();
 }
 
 }  // namespace

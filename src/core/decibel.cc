@@ -659,8 +659,11 @@ Result<BranchId> Decibel::BranchAt(const std::string& name, CommitId commit) {
   if (durable()) barrier.lock();
   std::lock_guard<std::mutex> lock(mu_);
   DECIBEL_ASSIGN_OR_RETURN(CommitInfo info, graph_.GetCommit(commit));
-  const bool at_head =
-      graph_.Head(info.branch) == commit && dirty_.count(info.branch) == 0;
+  DECIBEL_ASSIGN_OR_RETURN(BranchInfo source, graph_.GetBranch(info.branch));
+  // A retired branch's uncommitted writes were abandoned but are still in
+  // its engine head, so only an active, clean head equals its commit.
+  const bool at_head = graph_.Head(info.branch) == commit &&
+                       dirty_.count(info.branch) == 0 && source.active;
   DECIBEL_ASSIGN_OR_RETURN(BranchId child, graph_.CreateBranch(name, commit));
   DECIBEL_RETURN_NOT_OK(
       LogBranchCreation(child, name, commit, info.branch, at_head));

@@ -156,9 +156,10 @@ struct BitmapMergePart {
   Bitmap base;
 };
 
-/// The §3.2 merge walk over \p parts: scans each part's (L⊕B)|(R⊕B) mask,
-/// groups the positions by primary key, and emits every key with its
-/// three states in ascending pk order (StorageEngine::MergeWalk). Sound
+/// The §3.2 merge walk over \p parts: scans each part's (L⊕B)|(R⊕B) mask
+/// once, copying each selected record aside, groups the copies by primary
+/// key, and emits every key with its three states in ascending pk order
+/// (StorageEngine::MergeWalk). Sound
 /// when each commit holds at most one live position per key across all
 /// parts: a position outside every mask is live in all three commits or
 /// in none, so a key with one has the same record in all three.

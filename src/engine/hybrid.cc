@@ -49,6 +49,9 @@ std::string HybridEngine::HistoryPath(BranchId branch, uint32_t seg) const {
 }
 
 Result<uint32_t> HybridEngine::NewHeadSegment(BranchId owner) {
+  if (segments_.size() > PkIndex::kMaxSegment) {
+    return Status::InvalidArgument("hybrid: too many segments");
+  }
   auto segment = std::make_unique<Segment>();
   segment->id = static_cast<uint32_t>(segments_.size());
   segment->owner = owner;
@@ -382,7 +385,7 @@ Status HybridEngine::CreateBranch(BranchId child, BranchId parent,
       branch_segments_[child].Set(seg);
       MarkDirty(child, seg);
     }
-    pk_index_[child] = pk_index_[parent];
+    pk_index_[child] = pk_index_[parent].Fork();
     DECIBEL_RETURN_NOT_OK(NewHeadSegment(parent).status());
     DECIBEL_RETURN_NOT_OK(NewHeadSegment(child).status());
     // Only a branch's current head is ever dirtied, so the parent's
@@ -487,7 +490,7 @@ Status HybridEngine::Checkout(CommitId commit) {
 
 Status HybridEngine::RebuildPkIndex(BranchId b) {
   PkIndex& idx = pk_index_[b];
-  idx.clear();
+  idx.Clear();
   for (uint32_t seg : SegmentsOf(b)) {
     const Bitmap* view = segments_[seg]->local.BranchView(b);
     if (view == nullptr) continue;
@@ -495,7 +498,7 @@ Status HybridEngine::RebuildPkIndex(BranchId b) {
     RecordRef rec;
     uint64_t pos;
     while (scanner.Next(&rec, &pos)) {
-      idx[rec.pk()] = Loc{seg, pos};
+      idx.Set(rec.pk(), PkIndex::Pack(seg, pos));
     }
     DECIBEL_RETURN_NOT_OK(scanner.status());
   }
@@ -520,7 +523,7 @@ Status HybridEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
   Segment& head = *segments_[head_it->second];
   PkIndex& pks = pk_index_[branch];
   DECIBEL_RETURN_NOT_OK(ValidateBatchDeletes(
-      batch, [&pks](int64_t pk) { return pks.count(pk) != 0; }));
+      batch, [&pks](int64_t pk) { return pks.Contains(pk); }));
 
   // One pass over the batch: the record payloads go to the head segment
   // in page-sized chunks, its local bitmap universe grows once, the pk
@@ -533,23 +536,22 @@ Status HybridEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
         head.file->AppendBatch(batch.arena(), batch.num_appends()));
   }
   head.local.AppendTuples(batch.num_appends());
-  pks.reserve(pks.size() + batch.num_appends());
+  pks.Reserve(batch.num_appends());
+  PkIndex::Position old = 0;
+  // Unsets \p branch's bit of a replaced or deleted version.
+  auto unset = [&](PkIndex::Position pos) {
+    const uint32_t seg = PkIndex::SegmentOf(pos);
+    segments_[seg]->local.Set(PkIndex::IndexOf(pos), branch, false);
+    MarkDirty(branch, seg);
+  };
   for (const WriteBatch::Op& op : batch.ops()) {
     if (op.kind == WriteBatch::OpKind::kDelete) {
-      auto old = pks.find(op.pk);
-      segments_[old->second.seg]->local.Set(old->second.idx, branch, false);
-      MarkDirty(branch, old->second.seg);
-      pks.erase(old);
+      if (pks.Erase(op.pk, &old)) unset(old);
       continue;
     }
     const uint64_t idx = next_idx++;
-    auto [it, inserted] =
-        pks.try_emplace(batch.RecordAt(op).pk(), Loc{head.id, idx});
-    if (!inserted) {
-      const Loc old = it->second;
-      segments_[old.seg]->local.Set(old.idx, branch, false);
-      if (old.seg != head.id) MarkDirty(branch, old.seg);
-      it->second = Loc{head.id, idx};
+    if (pks.Put(batch.RecordAt(op).pk(), PkIndex::Pack(head.id, idx), &old)) {
+      unset(old);
     }
     head.local.Set(idx, branch, true);
   }
@@ -717,7 +719,7 @@ Result<std::unique_ptr<ScanCursor>> HybridEngine::NewScan(
 
 Result<Record> HybridEngine::Get(BranchId branch, int64_t pk) {
   std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  Loc loc;
+  PkIndex::Position pos = 0;
   {
     // The pk index is per-branch state guarded by the branch's stripe.
     std::lock_guard<std::mutex> stripe_lock(stripes_.ForBranch(branch));
@@ -726,15 +728,14 @@ Result<Record> HybridEngine::Get(BranchId branch, int64_t pk) {
       return Status::NotFound("hybrid: unknown branch " +
                               std::to_string(branch));
     }
-    auto rec_it = branch_it->second.find(pk);
-    if (rec_it == branch_it->second.end()) {
+    if (!branch_it->second.Find(pk, &pos)) {
       return Status::NotFound("hybrid: no record with pk " +
                               std::to_string(pk));
     }
-    loc = rec_it->second;
   }
   std::string buf;
-  DECIBEL_RETURN_NOT_OK(segments_[loc.seg]->file->Get(loc.idx, &buf));
+  DECIBEL_RETURN_NOT_OK(segments_[PkIndex::SegmentOf(pos)]->file->Get(
+      PkIndex::IndexOf(pos), &buf));
   return Record(&schema_, Slice(buf));
 }
 
@@ -814,9 +815,9 @@ EngineStats HybridEngine::Stats() const {
     for (const auto& [branch, row] : branch_segments_) {
       stats.index_memory_bytes += row.MemoryBytes();
     }
-    for (const auto& [branch, pks] : pk_index_) {
-      stats.index_memory_bytes += pks.size() * 24;
-    }
+    std::vector<const PkIndex*> pk_indexes;
+    for (const auto& [branch, pks] : pk_index_) pk_indexes.push_back(&pks);
+    stats.index_memory_bytes += PkIndex::MemoryBytes(pk_indexes);
   }
   {
     std::lock_guard<std::mutex> commit_lock(commit_mu_);

@@ -21,16 +21,20 @@
 /// or *internal* segments (frozen at the first branch taken from them).
 ///
 /// Concurrency: a branch's writes touch only its own head-segment tail,
-/// its own pk index, and its own columns of the per-segment local
+/// its own pk index overlay, and its own columns of the per-segment local
 /// bitmaps (a column is private to its branch even when the segment is
 /// shared with siblings), so writers on disjoint branches proceed in
 /// parallel. The lock hierarchy is registry_mu_ (the segments_ vector,
-/// head_seg_/branch_segments_/pk_index_/dirty_ map shapes, and the local
-/// indexes' column sets; writers take it shared, CreateBranch/Flush
-/// take it unique) -> stripe locks (branch % write_stripes) ->
-/// commit_mu_ (the commit registries, a leaf). Scans materialize bitmap
-/// copies under the stripe lock, map each segment's file after that, and
-/// stream without any lock.
+/// head_seg_/branch_segments_/pk_index_/dirty_ map shapes,
+/// and the local indexes' column sets; writers take it shared,
+/// CreateBranch/Flush take it unique) -> stripe locks (branch %
+/// write_stripes; the branch's columns, dirty set, and pk index overlay
+/// and chain pointer) -> commit_mu_ (the commit registries, a leaf). A
+/// fork shares the parent's frozen pk-index layers with the child
+/// (engine/pk_index.h); frozen layers are immutable, so siblings read
+/// them under their own stripes only. Scans materialize bitmap copies
+/// under the stripe lock, map each segment's file after that, and stream
+/// without any lock.
 
 #include <memory>
 #include <mutex>
@@ -43,6 +47,7 @@
 #include "common/stripe_lock.h"
 #include "engine/bitmap_scan.h"
 #include "engine/engine.h"
+#include "engine/pk_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 
@@ -87,12 +92,6 @@ class HybridEngine : public StorageEngine {
     /// Local bitmap index: one column per branch with records inherited
     /// from this segment (§3.4).
     BranchOrientedIndex local;
-  };
-
-  /// Physical record location.
-  struct Loc {
-    uint32_t seg = 0;
-    uint64_t idx = 0;
   };
 
   HybridEngine(const Schema& schema, const EngineOptions& options)
@@ -150,7 +149,8 @@ class HybridEngine : public StorageEngine {
   std::unordered_map<BranchId, uint32_t> head_seg_;
   /// The global branch-segment bitmap: row per branch, bit per segment.
   std::unordered_map<BranchId, Bitmap> branch_segments_;
-  using PkIndex = std::unordered_map<int64_t, Loc>;
+  /// pk -> live (segment, record) at each branch head, packed by
+  /// PkIndex::Pack.
   std::unordered_map<BranchId, PkIndex> pk_index_;
 
   /// Commit storage: one history file per (branch, segment) (§5.3).

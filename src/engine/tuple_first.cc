@@ -202,15 +202,13 @@ Result<CommitHistory*> TupleFirstEngine::HistoryFor(BranchId branch) {
 
 Status TupleFirstEngine::RebuildPkIndex(BranchId b) {
   PkIndex& idx = pk_index_[b];
-  idx.clear();
+  idx.Clear();
   const Bitmap view = index_->MaterializeBranch(b);
   const RecordMap map = heap_->SnapshotMapping();
   BitmapScanner scanner(&map, &schema_, &view);
   RecordRef rec;
   uint64_t pos;
-  while (scanner.Next(&rec, &pos)) {
-    idx[rec.pk()] = pos;
-  }
+  while (scanner.Next(&rec, &pos)) idx.Set(rec.pk(), pos);
   return scanner.status();
 }
 
@@ -223,9 +221,9 @@ Status TupleFirstEngine::CreateBranch(BranchId child, BranchId parent,
   std::unique_lock<std::shared_mutex> registry(registry_mu_);
   if (at_head) {
     // "A branch operation clones the state of the parent branch's bitmap"
-    // (§3.2) — plus the parent's pk index for update support.
+    // (§3.2); the child's pk index shares the parent's frozen layers.
     index_->CloneBranch(parent, child);
-    pk_index_[child] = pk_index_[parent];
+    pk_index_[child] = pk_index_[parent].Fork();
     return Status::OK();
   }
   DECIBEL_ASSIGN_OR_RETURN(Bitmap bits, CommitBitmap(base_commit));
@@ -290,7 +288,7 @@ Status TupleFirstEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
   }
   PkIndex& pks = pk_it->second;
   DECIBEL_RETURN_NOT_OK(ValidateBatchDeletes(
-      batch, [&pks](int64_t pk) { return pks.count(pk) != 0; }));
+      batch, [&pks](int64_t pk) { return pks.Contains(pk); }));
 
   // One pass: the record payloads go to this branch's heap stripe in
   // page-sized chunks (the stripe allocator hands back the assigned
@@ -303,14 +301,13 @@ Status TupleFirstEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
         StripeOf(branch), batch.arena(), batch.num_appends(), &runs));
     index_->EnsureTuples(heap_->allocated_bound());
   }
-  pks.reserve(pks.size() + batch.num_appends());
+  pks.Reserve(batch.num_appends());
   size_t run_pos = 0;
   uint64_t run_off = 0;
+  uint64_t old = 0;
   for (const WriteBatch::Op& op : batch.ops()) {
     if (op.kind == WriteBatch::OpKind::kDelete) {
-      auto old = pks.find(op.pk);
-      index_->Set(old->second, branch, false);
-      pks.erase(old);
+      if (pks.Erase(op.pk, &old)) index_->Set(old, branch, false);
       continue;
     }
     while (run_off == runs[run_pos].count) {
@@ -318,12 +315,10 @@ Status TupleFirstEngine::ApplyBatch(BranchId branch, const WriteBatch& batch) {
       run_off = 0;
     }
     const uint64_t idx = runs[run_pos].base + run_off++;
-    auto [it, inserted] = pks.try_emplace(batch.RecordAt(op).pk(), idx);
-    if (!inserted) {
+    if (pks.Put(batch.RecordAt(op).pk(), idx, &old)) {
       // "the index bit of the previous version of the record is unset"
       // §3.2
-      index_->Set(it->second, branch, false);
-      it->second = idx;
+      index_->Set(old, branch, false);
     }
     index_->Set(idx, branch, true);
   }
@@ -381,7 +376,7 @@ Result<std::unique_ptr<ScanCursor>> TupleFirstEngine::NewScan(
 }
 
 Result<Record> TupleFirstEngine::Get(BranchId branch, int64_t pk) {
-  uint64_t idx;
+  uint64_t idx = 0;
   {
     std::shared_lock<std::shared_mutex> registry(registry_mu_);
     StripeGuard stripe(this, {branch});
@@ -390,12 +385,10 @@ Result<Record> TupleFirstEngine::Get(BranchId branch, int64_t pk) {
       return Status::NotFound("tuple-first: unknown branch " +
                               std::to_string(branch));
     }
-    auto rec_it = branch_it->second.find(pk);
-    if (rec_it == branch_it->second.end()) {
+    if (!branch_it->second.Find(pk, &idx)) {
       return Status::NotFound("tuple-first: no record with pk " +
                               std::to_string(pk));
     }
-    idx = rec_it->second;
   }
   // Appended records are immutable; the read needs no lock.
   std::string buf;
@@ -445,10 +438,10 @@ EngineStats TupleFirstEngine::Stats() const {
   StripeLocks::AllGuard stripes(stripes_);
   EngineStats stats;
   stats.data_bytes = heap_->SizeBytes();
-  stats.index_memory_bytes = index_->MemoryBytes();
-  for (const auto& [branch, pks] : pk_index_) {
-    stats.index_memory_bytes += pks.size() * 16;
-  }
+  std::vector<const PkIndex*> pk_indexes;
+  for (const auto& [branch, pks] : pk_index_) pk_indexes.push_back(&pks);
+  stats.index_memory_bytes =
+      index_->MemoryBytes() + PkIndex::MemoryBytes(pk_indexes);
   {
     std::lock_guard<std::mutex> commits(commit_mu_);
     for (const auto& [branch, history] : histories_) {

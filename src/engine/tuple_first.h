@@ -19,8 +19,11 @@
 /// lock hierarchy is registry_mu_ (shape of the branch registries, taken
 /// shared by every operation and unique only by branch creation and
 /// flush) -> stripe locks (branch % write_stripes; all per-branch state —
-/// the pk index, the branch's bitmap column, its heap-file shard's tail)
-/// -> commit_mu_ (the commit registry, a leaf). Cross-branch operations
+/// the pk index's overlay and chain pointer, the branch's bitmap column,
+/// its heap-file shard's tail) -> commit_mu_ (the commit registry, a
+/// leaf). A fork shares the parent's frozen pk-index layers with the
+/// child (engine/pk_index.h); frozen layers are immutable, so siblings
+/// read them under their own stripes only. Cross-branch operations
 /// needing several stripes take them in ascending order; MergeWalk works
 /// off committed bitmap snapshots and takes no stripe locks. Readers
 /// materialize a bitmap snapshot under the stripe lock, snapshot the
@@ -35,6 +38,7 @@
 #include "bitmap/commit_history.h"
 #include "common/stripe_lock.h"
 #include "engine/engine.h"
+#include "engine/pk_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/striped_heap.h"
 
@@ -130,8 +134,6 @@ class TupleFirstEngine : public StorageEngine {
   /// registry unique.
   std::string EncodeMeta();
 
-  using PkIndex = std::unordered_map<int64_t, uint64_t>;  // pk -> record idx
-
   Schema schema_;
   EngineOptions options_;
   BufferPool pool_;
@@ -148,6 +150,7 @@ class TupleFirstEngine : public StorageEngine {
 
   std::unique_ptr<StripedHeap> heap_;
   std::unique_ptr<BitmapIndex> index_;
+  /// pk -> global record index at each branch head.
   std::unordered_map<BranchId, PkIndex> pk_index_;
   std::unordered_map<BranchId, std::unique_ptr<CommitHistory>> histories_;
   std::unordered_map<CommitId, BranchId> commit_branch_;

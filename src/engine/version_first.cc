@@ -128,6 +128,9 @@ std::string VersionFirstEngine::SegmentPath(uint32_t seg) const {
 
 Result<uint32_t> VersionFirstEngine::NewSegment(
     BranchId owner, std::vector<ParentLink> parents) {
+  if (segments_.size() > PkIndex::kMaxSegment) {
+    return Status::InvalidArgument("version-first: too many segments");
+  }
   auto segment = std::make_unique<Segment>();
   segment->id = static_cast<uint32_t>(segments_.size());
   segment->owner = owner;
@@ -269,14 +272,19 @@ Status VersionFirstEngine::LoadExisting() {
   std::vector<WinnerTable> tables;
   DECIBEL_RETURN_NOT_OK(BuildWinnerTables(roots, &tables, nullptr));
   for (size_t i = 0; i < branch_ids.size(); ++i) {
-    PkIndex& idx = pk_index_[branch_ids[i]];
-    idx.reserve(tables[i].size());
-    for (const auto& [pk, winner] : tables[i]) {
-      if (winner.tombstone) continue;
-      idx[pk] = Loc{winner.seg, winner.idx};
-    }
+    FillPkIndex(tables[i], &pk_index_[branch_ids[i]]);
   }
   return Status::OK();
+}
+
+void VersionFirstEngine::FillPkIndex(const WinnerTable& table,
+                                     PkIndex* index) {
+  index->Clear();
+  index->Reserve(table.size());
+  for (const auto& [pk, winner] : table) {
+    if (winner.tombstone) continue;
+    index->Set(pk, PkIndex::Pack(winner.seg, winner.idx));
+  }
 }
 
 std::string VersionFirstEngine::EncodeMeta() {
@@ -392,24 +400,14 @@ Status VersionFirstEngine::CreateBranch(BranchId child, BranchId parent,
   head_seg_[child] = seg;
   if (at_head) {
     // The parent's pk index IS the child's starting state (both see the
-    // same records up to the branch point, and the parent's map is
-    // complete at its head).
-    pk_index_[child] = pk_index_[parent];
+    // same records up to the branch point, and the parent's index is
+    // complete at its head): the child shares its frozen layers.
+    pk_index_[child] = pk_index_[parent].Fork();
     return Status::OK();
   }
-  return RebuildPkIndex(child, base);
-}
-
-Status VersionFirstEngine::RebuildPkIndex(BranchId branch, const Root& root) {
   std::vector<WinnerTable> tables;
-  DECIBEL_RETURN_NOT_OK(BuildWinnerTables({root}, &tables, nullptr));
-  PkIndex& idx = pk_index_[branch];
-  idx.clear();
-  idx.reserve(tables[0].size());
-  for (const auto& [pk, winner] : tables[0]) {
-    if (winner.tombstone) continue;
-    idx[pk] = Loc{winner.seg, winner.idx};
-  }
+  DECIBEL_RETURN_NOT_OK(BuildWinnerTables({base}, &tables, nullptr));
+  FillPkIndex(tables[0], &pk_index_[child]);
   return Status::OK();
 }
 
@@ -462,14 +460,14 @@ Status VersionFirstEngine::ApplyBatch(BranchId branch,
   HeapFile* file = segments_[head]->file.get();
   PkIndex& pks = pk_index_[branch];
   DECIBEL_RETURN_NOT_OK(ValidateBatchDeletes(
-      batch, [&pks](int64_t pk) { return pks.count(pk) != 0; }));
-  pks.reserve(pks.size() + batch.num_appends());
+      batch, [&pks](int64_t pk) { return pks.Contains(pk); }));
+  pks.Reserve(batch.num_appends());
   if (batch.num_appends() == batch.size()) {
     DECIBEL_ASSIGN_OR_RETURN(
         uint64_t first, file->AppendBatch(batch.arena(), batch.num_appends()));
     uint64_t i = 0;
     for (const WriteBatch::Op& op : batch.ops()) {
-      pks[batch.RecordAt(op).pk()] = Loc{head, first + i};
+      pks.Set(batch.RecordAt(op).pk(), PkIndex::Pack(head, first + i));
       ++i;
     }
     return Status::OK();
@@ -478,11 +476,12 @@ Status VersionFirstEngine::ApplyBatch(BranchId branch,
     if (op.kind == WriteBatch::OpKind::kDelete) {
       const Record tombstone = MakeTombstone(&schema_, op.pk);
       DECIBEL_RETURN_NOT_OK(file->Append(tombstone.data()).status());
-      pks.erase(op.pk);
+      PkIndex::Position old = 0;
+      pks.Erase(op.pk, &old);
     } else {
       DECIBEL_ASSIGN_OR_RETURN(uint64_t idx,
                                file->Append(batch.RecordAt(op).data()));
-      pks[batch.RecordAt(op).pk()] = Loc{head, idx};
+      pks.Set(batch.RecordAt(op).pk(), PkIndex::Pack(head, idx));
     }
   }
   return Status::OK();
@@ -911,7 +910,7 @@ Result<Record> VersionFirstEngine::Get(BranchId branch, int64_t pk) {
   // key is simply not in the map) — the old ancestry walk paid O(history)
   // page reads per Get, the cost §3.3 conceded to the bitmap engines.
   std::shared_lock<std::shared_mutex> registry_lock(registry_mu_);
-  Loc loc;
+  PkIndex::Position pos = 0;
   {
     std::lock_guard<std::mutex> stripe_lock(stripes_.ForBranch(branch));
     if (head_seg_.count(branch) == 0) {
@@ -919,17 +918,15 @@ Result<Record> VersionFirstEngine::Get(BranchId branch, int64_t pk) {
                               std::to_string(branch));
     }
     auto branch_it = pk_index_.find(branch);
-    auto rec_it = branch_it == pk_index_.end() ? PkIndex::iterator()
-                                               : branch_it->second.find(pk);
-    if (branch_it == pk_index_.end() || rec_it == branch_it->second.end()) {
+    if (branch_it == pk_index_.end() || !branch_it->second.Find(pk, &pos)) {
       return Status::NotFound("version-first: no record with pk " +
                               std::to_string(pk));
     }
-    loc = rec_it->second;
   }
   // Appended records are immutable; the read needs no lock.
   std::string buf;
-  DECIBEL_RETURN_NOT_OK(FetchRecord(loc.seg, loc.idx, &buf));
+  DECIBEL_RETURN_NOT_OK(
+      FetchRecord(PkIndex::SegmentOf(pos), PkIndex::IndexOf(pos), &buf));
   return Record(&schema_, Slice(buf));
 }
 
@@ -1189,9 +1186,9 @@ EngineStats VersionFirstEngine::Stats() const {
   {
     // The pk indexes are per-branch state guarded by the stripes.
     StripeLocks::AllGuard stripe_locks(stripes_);
-    for (const auto& [branch, pks] : pk_index_) {
-      stats.index_memory_bytes += pks.size() * 24;
-    }
+    std::vector<const PkIndex*> pk_indexes;
+    for (const auto& [branch, pks] : pk_index_) pk_indexes.push_back(&pks);
+    stats.index_memory_bytes = PkIndex::MemoryBytes(pk_indexes);
   }
   {
     // Commits are (segment, offset) pairs — the whole registry is tiny.

@@ -23,15 +23,18 @@
 ///
 /// Concurrency: appends go to per-branch head segments, so writers on
 /// disjoint branches share no segment file and proceed in parallel. The
-/// lock hierarchy is registry_mu_ (the segments_ vector and head_seg_ map
-/// shape; writers take it shared, CreateBranch/Flush — which grow
-/// the registry — take it unique) -> stripe locks (branch %
-/// write_stripes; the branch's head-segment tail) -> commit_mu_ (the
-/// commits_ map, a leaf). Cursors capture HeapFile pointers at open
-/// (Segment objects are stable; only the vector itself reallocates) plus
-/// per-segment bounds, so established scans stream without any lock and
-/// never observe a half-applied batch (HeapFile publishes num_records
-/// after the bytes).
+/// lock hierarchy is registry_mu_ (the segments_ vector and the
+/// head_seg_/pk_index_ map shapes; writers take it shared,
+/// CreateBranch/Flush — which grow the registry — take it unique) ->
+/// stripe locks (branch % write_stripes; the branch's head-segment tail
+/// and its pk index's overlay and chain pointer) -> commit_mu_ (the
+/// commits_ map, a leaf). A fork shares the parent's frozen pk-index
+/// layers with the child (engine/pk_index.h); frozen layers are
+/// immutable, so siblings read them under their own stripes only.
+/// Cursors capture HeapFile pointers at open (Segment objects are stable;
+/// only the vector itself reallocates) plus per-segment bounds, so
+/// established scans stream without any lock and never observe a
+/// half-applied batch (HeapFile publishes num_records after the bytes).
 
 #include <memory>
 #include <mutex>
@@ -43,6 +46,7 @@
 
 #include "common/stripe_lock.h"
 #include "engine/engine.h"
+#include "engine/pk_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 
@@ -114,13 +118,6 @@ class VersionFirstEngine : public StorageEngine {
   };
   using WinnerTable = std::unordered_map<int64_t, Winner>;
 
-  /// Physical record location, for the per-branch pk index.
-  struct Loc {
-    uint32_t seg = 0;
-    uint64_t idx = 0;
-  };
-  using PkIndex = std::unordered_map<int64_t, Loc>;
-
   VersionFirstEngine(const Schema& schema, const EngineOptions& options)
       : schema_(schema),
         options_(options),
@@ -158,9 +155,9 @@ class VersionFirstEngine : public StorageEngine {
   /// Reads record \p idx of segment \p seg into \p buf.
   Status FetchRecord(uint32_t seg, uint64_t idx, std::string* buf) const;
 
-  /// Rebuilds \p branch's pk index from its ancestry (one winner-table
-  /// pass). Caller holds registry_mu_ unique.
-  Status RebuildPkIndex(BranchId branch, const Root& root);
+  /// Refills \p index with \p table's live winners (the rebuild from
+  /// ancestry on open and on a branch from a commit).
+  static void FillPkIndex(const WinnerTable& table, PkIndex* index);
 
   Schema schema_;
   EngineOptions options_;
@@ -180,11 +177,12 @@ class VersionFirstEngine : public StorageEngine {
   std::vector<std::unique_ptr<Segment>> segments_;
   std::unordered_map<BranchId, uint32_t> head_seg_;
   std::unordered_map<CommitId, Root> commits_;
-  /// pk -> live location at each branch head, making Get a point lookup
-  /// instead of an ancestry walk (the fix for §3.3's O(history) reads).
-  /// Memory-only: rebuilt on open from one multi-root winner-table pass.
-  /// A branch's entry is written under its stripe lock (ApplyBatch) or
-  /// the unique registry lock (CreateBranch, LoadExisting).
+  /// pk -> live (segment, record) at each branch head, packed by
+  /// PkIndex::Pack, making Get a point lookup instead of an ancestry walk
+  /// (the fix for §3.3's O(history) reads). Memory-only: rebuilt on open
+  /// from one multi-root winner-table pass. A branch's entry is written
+  /// under its stripe lock (ApplyBatch) or the unique registry lock
+  /// (CreateBranch, LoadExisting).
   std::unordered_map<BranchId, PkIndex> pk_index_;
 
   class BranchScanCursor;

@@ -333,13 +333,4 @@ RecordMap RecordMap::OfFile(HeapFile* file) {
   return m;
 }
 
-bool RecordMap::Resolve(uint64_t global, HeapFile** file,
-                        uint64_t* local) const {
-  const Extent* e = FindExtent(extents_, global);
-  if (e == nullptr) return false;
-  *file = files_[e->stripe];
-  *local = e->local_base + (global - e->base);
-  return true;
-}
-
 }  // namespace decibel

@@ -66,9 +66,6 @@ class RecordMap {
   /// One extent starting at 0 over the records \p file holds now.
   static RecordMap OfFile(HeapFile* file);
 
-  /// Translates \p global; false if it falls outside every extent.
-  bool Resolve(uint64_t global, HeapFile** file, uint64_t* local) const;
-
   /// One past the last position this map covers.
   uint64_t bound() const {
     return extents_.empty() ? 0

@@ -273,6 +273,82 @@ TEST_P(ConcurrentEngineTest, ConcurrentMergesAndWritersDoNotDeadlock) {
   EXPECT_EQ(CollectBranch(db.get(), b[5]).size(), 120u);
 }
 
+// Forks share the parent's frozen pk-index layers with the child. Writers
+// on two siblings update, delete and insert over their inherited keys
+// while another thread keeps writing to the shared parent and forking
+// from it, so every fork freezes (and may fold) the parent's chain as the
+// siblings read layers it shares with them. Every branch must end up with
+// exactly its own writes.
+TEST_P(ConcurrentEngineTest, ForksWhileSiblingsWrite) {
+  ScratchDir dir("conc_fork");
+  const Schema schema = TestSchema(2);
+  auto db = Decibel::Open(dir.path(), schema, Options()).MoveValueUnsafe();
+
+  constexpr int64_t kBase = 200;
+  constexpr int kForks = 40;
+  for (int64_t pk = 0; pk < kBase; ++pk) {
+    ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(schema, pk, 0)));
+  }
+  Session s = db->NewSession();
+  std::vector<BranchId> writers(2);
+  for (int w = 0; w < 2; ++w) {
+    ASSERT_OK(db->Use(&s, kMasterBranch));
+    ASSERT_OK_AND_ASSIGN(writers[w],
+                         db->Branch("writer" + std::to_string(w), &s));
+  }
+
+  auto write = [&](int w) {
+    const BranchId b = writers[w];
+    const int64_t value = w + 1;
+    for (int64_t pk = 0; pk < kBase; ++pk) {
+      ASSERT_OK(db->UpdateIn(b, MakeRecord(schema, pk, value)));
+      if (pk % 10 == 0) ASSERT_OK(db->DeleteFrom(b, pk));
+      ASSERT_OK(db->InsertInto(b, MakeRecord(schema, 1000 * value + pk, value)));
+      EXPECT_EQ(db->Get(b, pk).status().IsNotFound(), pk % 10 == 0);
+      ASSERT_OK_AND_ASSIGN(Record got, db->Get(b, 1000 * value + pk));
+      EXPECT_EQ(got.pk(), 1000 * value + pk);
+    }
+  };
+  std::vector<BranchId> forks;
+  std::thread forker([&] {
+    Session fs = db->NewSession();
+    for (int i = 0; i < kForks; ++i) {
+      ASSERT_OK(db->InsertInto(kMasterBranch,
+                               MakeRecord(schema, 100000 + i, 9)));
+      ASSERT_OK(db->Use(&fs, kMasterBranch));
+      ASSERT_OK_AND_ASSIGN(BranchId child,
+                           db->Branch("fork" + std::to_string(i), &fs));
+      forks.push_back(child);
+    }
+  });
+  std::thread w0(write, 0);
+  std::thread w1(write, 1);
+  forker.join();
+  w0.join();
+  w1.join();
+
+  for (int w = 0; w < 2; ++w) {
+    const auto rows = CollectBranch(db.get(), writers[w]);
+    ASSERT_EQ(rows.size(), static_cast<size_t>(kBase - kBase / 10 + kBase))
+        << "writer " << w;
+    for (const auto& [pk, value] : rows) {
+      EXPECT_EQ(value, w + 1) << "writer " << w << " pk " << pk;
+      EXPECT_FALSE(pk < kBase && pk % 10 == 0) << "deleted pk " << pk;
+    }
+    for (int64_t pk = 0; pk < kBase; pk += 10) {
+      EXPECT_TRUE(db->Get(writers[w], pk).status().IsNotFound());
+    }
+  }
+  for (int i = 0; i < kForks; ++i) {
+    const auto rows = CollectBranch(db.get(), forks[i]);
+    ASSERT_EQ(rows.size(), static_cast<size_t>(kBase + i + 1)) << "fork " << i;
+    for (int64_t pk = 0; pk < kBase; ++pk) EXPECT_EQ(rows.at(pk), 0);
+    ASSERT_OK_AND_ASSIGN(Record got, db->Get(forks[i], 100000 + i));
+    EXPECT_EQ(got.pk(), 100000 + i);
+    EXPECT_TRUE(db->Get(forks[i], 100000 + i + 1).status().IsNotFound());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllEngines, ConcurrentEngineTest,
                          ::testing::Values(EngineType::kTupleFirst,
                                            EngineType::kVersionFirst,

@@ -170,6 +170,45 @@ TEST_P(EngineTest, BranchFromHistoricalCommit) {
   EXPECT_EQ(CollectBranch(db_.get(), kMasterBranch).size(), 2u);
 }
 
+// Retiring a branch abandons its uncommitted writes, though they stay in
+// its engine head; a later BranchAt of its head commit must read that
+// commit, not the abandoned head.
+TEST_P(EngineTest, BranchAtRetiredHeadSkipsAbandonedWrites) {
+  ASSERT_OK(db_->InsertInto(kMasterBranch, MakeRecord(schema_, 1, 1)));
+  Session s = db_->NewSession();
+  ASSERT_OK_AND_ASSIGN(BranchId dev, db_->Branch("dev", &s));
+  ASSERT_OK(db_->InsertInto(dev, MakeRecord(schema_, 2, 2)));
+  ASSERT_OK_AND_ASSIGN(CommitId head, db_->CommitBranch(dev));
+  ASSERT_OK(db_->InsertInto(dev, MakeRecord(schema_, 3, 3)));
+  ASSERT_OK(db_->UpdateIn(dev, MakeRecord(schema_, 1, 9)));
+  ASSERT_OK(db_->RetireBranch(dev));
+
+  ASSERT_OK_AND_ASSIGN(BranchId again, db_->BranchAt("again", head));
+  auto rows = CollectBranch(db_.get(), again);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[1], 1);
+  EXPECT_EQ(rows[2], 2);
+  EXPECT_TRUE(db_->Get(again, 3).status().IsNotFound());
+}
+
+// Disabled because it fails on every engine: the facade's set of branches
+// with uncommitted writes (Decibel::dirty_) is memory-only, so after a
+// reopen master counts as clean, and BranchAt(its head commit) forks the
+// engine head, uncommitted row included. CHANGES.md has it as a FOUND
+// line; ForkHeavyModelTest commits every branch before it reopens.
+TEST_P(EngineTest, DISABLED_BranchAtHeadAfterReopenSkipsUncommittedWrites) {
+  ASSERT_OK(db_->InsertInto(kMasterBranch, MakeRecord(schema_, 1, 1)));
+  ASSERT_OK_AND_ASSIGN(CommitId head, db_->CommitBranch(kMasterBranch));
+  ASSERT_OK(db_->InsertInto(kMasterBranch, MakeRecord(schema_, 2, 2)));
+  Reopen();
+
+  ASSERT_OK_AND_ASSIGN(BranchId at, db_->BranchAt("at", head));
+  auto rows = CollectBranch(db_.get(), at);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[1], 1);
+  EXPECT_TRUE(db_->Get(at, 2).status().IsNotFound());
+}
+
 TEST_P(EngineTest, DeepBranchChain) {
   // The "deep" shape of §4.1: a linear chain, inserts always at the tail.
   Session s = db_->NewSession();

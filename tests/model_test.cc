@@ -276,6 +276,152 @@ INSTANTIATE_TEST_SUITE_P(
       return engine + "_seed" + std::to_string(std::get<1>(info.param));
     });
 
+/// A fork-heavy stream. Every round writes to the newest branch (deleting
+/// and updating inherited keys as often as inserting) and to one other,
+/// then forks the newest branch, so each fork freezes a pk-index layer
+/// over its parent's chain and the chains run far past
+/// PkIndex::kMaxLayers, folding as they go. Some rounds branch from an
+/// old commit instead, some retire a branch, and the database is reopened
+/// halfway and at the end (the indexes rebuild from storage). Point Gets,
+/// which read the pk index directly, and scans must match the oracle.
+void RunForkHeavyModel(EngineType engine, uint64_t seed) {
+  ScratchDir dir("model_forks");
+  const Schema schema = TestSchema(3);
+  DecibelOptions options;
+  options.engine = engine;
+  options.page_size = 4096;
+  std::unique_ptr<Decibel> db;
+  auto reopen = [&] {
+    db.reset();
+    auto opened = Decibel::Open(dir.path(), schema, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    db = std::move(opened).MoveValueUnsafe();
+  };
+  reopen();
+
+  Random rng(seed);
+  Oracle oracle;
+  std::vector<BranchId> branches{kMasterBranch};
+  std::set<BranchId> retired;
+  std::vector<CommitId> commits;
+  int64_t next_pk = 0;
+  int32_t next_val = 1000;
+  for (; next_pk < 64; ++next_pk) {
+    ASSERT_OK(db->InsertInto(kMasterBranch, MakeRecord(schema, next_pk, 0)));
+    oracle.branches[kMasterBranch][next_pk] = 0;
+  }
+
+  auto write = [&](BranchId b, uint64_t ops) {
+    Oracle::Table& table = oracle.branches[b];
+    for (uint64_t i = 0; i < ops; ++i) {
+      const uint64_t kind = rng.Uniform(3);
+      if (kind == 0 || table.empty()) {
+        const int64_t pk = next_pk++;
+        ASSERT_OK(db->InsertInto(b, MakeRecord(schema, pk, next_val)));
+        table[pk] = next_val++;
+        continue;
+      }
+      auto it = table.begin();
+      std::advance(it, rng.Uniform(table.size()));
+      if (kind == 1) {
+        ASSERT_OK(db->UpdateIn(b, MakeRecord(schema, it->first, next_val)));
+        it->second = next_val++;
+      } else {
+        ASSERT_OK(db->DeleteFrom(b, it->first));
+        table.erase(it);
+      }
+    }
+  };
+  auto check = [&](BranchId b) {
+    const Oracle::Table& table = oracle.branches[b];
+    EXPECT_EQ(testing_util::CollectBranch(db.get(), b), table)
+        << "branch " << b << " diverged";
+    for (int64_t pk = 0; pk < next_pk; ++pk) {
+      auto got = db->Get(b, pk);
+      auto want = table.find(pk);
+      if (want == table.end()) {
+        EXPECT_TRUE(got.status().IsNotFound())
+            << "branch " << b << " pk " << pk << " should be absent";
+      } else {
+        ASSERT_TRUE(got.ok()) << "branch " << b << " pk " << pk << ": "
+                              << got.status().ToString();
+        EXPECT_EQ(got->ref().GetInt32(1), want->second)
+            << "branch " << b << " pk " << pk;
+      }
+    }
+  };
+
+  constexpr int kRounds = 36;
+  for (int round = 0; round < kRounds; ++round) {
+    if (round == kRounds / 2) {
+      // The facade's set of branches with uncommitted writes is not
+      // persisted, so a branch reopened dirty would fork from its engine
+      // head under BranchAt(its head commit); commit everything first.
+      // EngineTest.DISABLED_BranchAtHeadAfterReopenSkipsUncommittedWrites
+      // reproduces that defect.
+      for (BranchId b : branches) {
+        ASSERT_TRUE(db->CommitBranch(b).ok());
+      }
+      reopen();
+      for (BranchId b : branches) check(b);
+    }
+    const BranchId newest = branches.back();
+    write(newest, 4 + rng.Uniform(8));
+    const BranchId other = branches[rng.Uniform(branches.size())];
+    if (retired.count(other) == 0) write(other, 2 + rng.Uniform(4));
+    if (rng.Uniform(3) == 0) {
+      auto commit = db->CommitBranch(other);
+      ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+      oracle.commits[*commit] = oracle.branches[other];
+      commits.push_back(*commit);
+    }
+    if (rng.Uniform(6) == 0 && other != kMasterBranch && other != newest &&
+        retired.insert(other).second) {
+      ASSERT_OK(db->RetireBranch(other));
+    }
+    const std::string name = "f" + std::to_string(round);
+    if (!commits.empty() && rng.Uniform(5) == 0) {
+      const CommitId at = commits[rng.Uniform(commits.size())];
+      ASSERT_OK_AND_ASSIGN(BranchId child, db->BranchAt(name, at));
+      oracle.branches[child] = oracle.commits[at];
+      branches.push_back(child);
+    } else {
+      Session s = db->NewSession();
+      ASSERT_OK(db->Use(&s, newest));
+      ASSERT_OK_AND_ASSIGN(BranchId child, db->Branch(name, &s));
+      oracle.branches[child] = oracle.branches[newest];
+      branches.push_back(child);
+    }
+    check(newest);
+    check(branches.back());
+    check(branches[rng.Uniform(branches.size())]);
+  }
+  reopen();
+  for (BranchId b : branches) check(b);
+}
+
+class ForkHeavyModelTest
+    : public ::testing::TestWithParam<std::tuple<EngineType, uint64_t>> {};
+
+TEST_P(ForkHeavyModelTest, ForkChainsMatchOracle) {
+  RunForkHeavyModel(std::get<0>(GetParam()), std::get<1>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginesAndSeeds, ForkHeavyModelTest,
+    ::testing::Combine(::testing::Values(EngineType::kTupleFirst,
+                                         EngineType::kVersionFirst,
+                                         EngineType::kHybrid),
+                       ::testing::Values(3u, 11u)),
+    [](const auto& info) {
+      const char* name = EngineTypeName(std::get<0>(info.param));
+      std::string engine =
+          std::string(name) == "tuple-first"    ? "TupleFirst"
+          : std::string(name) == "version-first" ? "VersionFirst"
+                                                  : "Hybrid";
+      return engine + "_seed" + std::to_string(std::get<1>(info.param));
+    });
+
 /// The bitmap-engine layouts the default options leave out, over the same
 /// stream: tuple-first on the tuple-oriented bitmap matrix, and hybrid
 /// scanning its segments on four threads (the parallel segment scan).
